@@ -55,7 +55,7 @@ class InitStrategy:
     orthogonal_init orthogonal unit vectors with lam = 0.
     """
 
-    variant: str
+    variant: str = "zero_impact"
     small_value: float = 1e-4
     gauss_std: float = 0.02
 

@@ -68,11 +68,23 @@ class _OutputLock:
         try:
             self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise RankflexError(
-                f"output directory is locked by another run: {self.path}"
-            ) from None
+            raise RankflexError(self._conflict()) from None
         os.write(self.fd, f"pid {os.getpid()}\n".encode())
         return self
+
+    def _conflict(self):
+        """Why the lock is held. A lock whose pid no longer runs here is stale;
+        it is reported, not removed, because the pid is only looked up on this
+        host and the run may live on another one that shares the directory."""
+        try:
+            pid = int(self.path.read_text(encoding="utf-8").split()[1])
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return (f"stale lock: pid {pid} in {self.path} is not running; "
+                    f"remove {self.path} if no other run uses the directory")
+        except (OSError, ValueError, IndexError):
+            pass
+        return f"output directory is locked by another run: {self.path}"
 
     def __exit__(self, *exc_info):
         if self.fd is not None:
@@ -95,15 +107,13 @@ def _write_artifacts(outdir, config, result, overrides):
 
 def cmd_train(args):
     raw = load_config_file(args.config)
+    if not isinstance(raw, dict):
+        raise ConfigError("config: must be an object")
     overrides = list(args.override)
     if overrides:
-        if not isinstance(raw, dict):
-            raise ConfigError("config: must be an object")
         raw = apply_overrides(raw, overrides)
     env_dir = os.environ.get(OUTPUT_DIR_ENV)
     if env_dir and not any(o.startswith("output_dir=") for o in overrides):
-        if not isinstance(raw, dict):
-            raise ConfigError("config: must be an object")
         raw["output_dir"] = env_dir
     if args.seed is not None:
         raw["seed"] = args.seed

@@ -1,25 +1,39 @@
 """Experiment configs: strict JSON parsing, overrides, and echo.
 
-Configs are plain JSON objects validated field by field; every error message
-carries the dotted path of the offending field ("schedule.b0: must be an
-integer"). Unknown keys are rejected at every level so typos fail loudly.
-Dotted-path overrides ("schedule.b0=2", values parsed as JSON) are applied
-before validation and recorded in the effective config, which is itself a
-valid input: parse -> serialize -> parse is a fixed point.
+The dataclasses are the schema. A config is the JSON form of a TrainConfig:
+one key per dataclass field, nested dataclasses as nested objects, tuples as
+arrays, and a missing key takes the field's default. One walker over
+``dataclasses.fields`` and the field annotations checks each value's JSON
+type, rejects unknown keys at every level so typos fail loudly, and leaves
+range checks to each type's ``__post_init__``; ``config_to_json`` is the same
+walk in reverse. Every error message carries the dotted path of the
+offending field ("config.schedule.b0: must be an integer").
+
+Where the JSON differs from the dataclasses, the tables below say how: the
+key a field is stored under, and the choices a string field accepts. An
+activation layer is only its ``type``. Dotted-path overrides ("schedule.b0=2",
+values parsed as JSON) are applied before validation and recorded in the
+effective config, which is itself a valid input: parse -> serialize -> parse
+is a fixed point.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
+import functools
 import json
+import math
+import types
+import typing
 
 from .adapter import INIT_VARIANTS, InitStrategy
-from .allocator import ALLOCATOR_MODES, BudgetSchedule
+from .allocator import ALLOCATOR_MODES
 from .errors import ConfigError, ParameterError
 from .importance import METRIC_VARIANTS, MetricKind
 from .model import ACTIVATION_KINDS, LOSS_KINDS, AdapterSpec, LayerSpec
 from .tasks import TASK_KINDS, SyntheticTask
-from .training import OptimizerConfig, TrainConfig
+from .training import TrainConfig
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -31,6 +45,25 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+# JSON key of each field stored under another name. TrainConfig's loss and
+# layers sit in the config's "model" object, which parse_config flattens.
+_KEYS = {
+    (TrainConfig, "loss"): "model.loss",
+    (TrainConfig, "layers"): "model.layers",
+    (LayerSpec, "kind"): "type",
+    (AdapterSpec, "adapter_id"): "id",
+}
+
+# Values a string field accepts, checked here so the error names the field.
+_CHOICES = {
+    (TrainConfig, "loss"): LOSS_KINDS,
+    (TrainConfig, "mode"): ALLOCATOR_MODES,
+    (LayerSpec, "kind"): ("linear",) + ACTIVATION_KINDS,
+    (SyntheticTask, "kind"): TASK_KINDS,
+    (MetricKind, "variant"): METRIC_VARIANTS,
+    (InitStrategy, "variant"): INIT_VARIANTS,
+}
+
 
 def _expect_dict(obj, path):
     if not isinstance(obj, dict):
@@ -38,308 +71,113 @@ def _expect_dict(obj, path):
     return obj
 
 
-def _no_unknown(obj, allowed, path):
+@functools.cache
+def _schema(cls, activation=False):
+    """(name, JSON key, annotation, required, choices) for each field of ``cls``.
+
+    Cached: resolving the annotations costs far more than a whole parse. An
+    activation layer carries only its kind.
+    """
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    return tuple(
+        (f.name, _KEYS.get((cls, f.name), f.name), hints[f.name],
+         f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
+         _CHOICES.get((cls, f.name)))
+        for f in (fields[:1] if activation else fields)
+    )
+
+
+def _from_json(tp, value, path, choices=None):
+    """Check ``value`` against the annotation ``tp`` and build it."""
+    if tp is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{path}: must be an integer")
+    elif tp is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{path}: must be a number")
+        value = float(value)
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: must be finite")
+    elif tp is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{path}: must be a string")
+        if choices is not None and value not in choices:
+            raise ConfigError(f"{path}: must be one of {', '.join(choices)}")
+    elif tp is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{path}: must be a boolean")
+    elif dataclasses.is_dataclass(tp):
+        return _dataclass_from_json(tp, value, path)
+    elif typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: must be an array")
+        item = typing.get_args(tp)[0]
+        return tuple(_from_json(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    elif value is not None:  # the one annotation left: X | None
+        (tp,) = [arg for arg in typing.get_args(tp) if arg is not types.NoneType]
+        return _from_json(tp, value, path)
+    return value
+
+
+def _dataclass_from_json(cls, obj, path):
+    _expect_dict(obj, path)
+    schema = _schema(cls, cls is LayerSpec and obj.get("type") in ACTIVATION_KINDS)
+    keys = {key for _, key, _, _, _ in schema}
     for key in obj:
-        if key not in allowed:
+        if key not in keys:
             raise ConfigError(f"{path}.{key}: unknown field")
-
-
-def _get(obj, key, path, required=False, default=None):
-    if key not in obj:
-        if required:
+    kwargs = {}
+    for name, key, tp, required, choices in schema:
+        if key in obj:
+            kwargs[name] = _from_json(tp, obj[key], f"{path}.{key}", choices)
+        elif required:
             raise ConfigError(f"{path}.{key}: missing required field")
-        return default
-    return obj[key]
-
-
-def _int(value, path, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: must be an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}")
-    return value
-
-
-def _num(value, path, minimum=None, exclusive=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: must be a number")
-    v = float(value)
-    if v != v or v in (float("inf"), float("-inf")):
-        raise ConfigError(f"{path}: must be finite")
-    if minimum is not None:
-        if exclusive and not v > minimum:
-            raise ConfigError(f"{path}: must be > {minimum}")
-        if not exclusive and not v >= minimum:
-            raise ConfigError(f"{path}: must be >= {minimum}")
-    return v
-
-
-def _str(value, path, choices=None):
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}: must be a string")
-    if choices is not None and value not in choices:
-        raise ConfigError(f"{path}: must be one of {', '.join(choices)}")
-    return value
-
-
-def _bool(value, path):
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: must be a boolean")
-    return value
-
-
-def _build(path, fn):
-    # Domain constructors re-validate; surface their complaints with the path.
     try:
-        return fn()
+        return cls(**kwargs)
     except ParameterError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _parse_layer(obj, path):
-    _expect_dict(obj, path)
-    kind = _str(_get(obj, "type", path, required=True), f"{path}.type",
-                choices=("linear",) + ACTIVATION_KINDS)
-    if kind != "linear":
-        _no_unknown(obj, {"type"}, path)
-        return LayerSpec(kind=kind)
-    _no_unknown(obj, {"type", "d_in", "d_out", "bias", "adapter"}, path)
-    d_in = _int(_get(obj, "d_in", path, required=True), f"{path}.d_in", minimum=1)
-    d_out = _int(_get(obj, "d_out", path, required=True), f"{path}.d_out", minimum=1)
-    bias = _bool(_get(obj, "bias", path, default=True), f"{path}.bias")
-    adapter = None
-    raw_adapter = _get(obj, "adapter", path)
-    if raw_adapter is not None:
-        apath = f"{path}.adapter"
-        _expect_dict(raw_adapter, apath)
-        _no_unknown(raw_adapter, {"id", "r_init", "r_max", "alpha"}, apath)
-        aid = _str(_get(raw_adapter, "id", apath, required=True), f"{apath}.id")
-        if not aid or any(ch.isspace() or ch == "," for ch in aid):
-            raise ConfigError(f"{apath}.id: must be non-empty without spaces or commas")
-        adapter = AdapterSpec(
-            adapter_id=aid,
-            r_init=_int(_get(raw_adapter, "r_init", apath, required=True),
-                        f"{apath}.r_init", minimum=1),
-            r_max=_int(_get(raw_adapter, "r_max", apath, required=True),
-                       f"{apath}.r_max", minimum=1),
-            alpha=_num(_get(raw_adapter, "alpha", apath, default=16.0),
-                       f"{apath}.alpha", minimum=0.0, exclusive=True),
-        )
-        if adapter.r_max < adapter.r_init:
-            raise ConfigError(f"{apath}.r_max: must be >= r_init")
-        if adapter.r_max > min(d_in, d_out):
-            raise ConfigError(f"{apath}.r_max: must be <= min(d_in, d_out)")
-    return LayerSpec(kind="linear", d_in=d_in, d_out=d_out, bias=bias, adapter=adapter)
+def _to_json(value):
+    if value is None or isinstance(value, (int, float, str)):
+        return value
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    schema = _schema(type(value), type(value) is LayerSpec and value.kind != "linear")
+    return {key: _to_json(getattr(value, name)) for name, key, *_ in schema}
 
 
 def parse_config(obj):
     """Validate a raw JSON object into a TrainConfig."""
-    _expect_dict(obj, "config")
-    allowed = {
-        "schema_version", "name", "seed", "model", "task", "optimizer",
-        "regularizer_weight", "schedule", "metric", "mode", "init_strategy",
-        "batch_size", "log_every", "output_dir", "applied_overrides",
-    }
-    _no_unknown(obj, allowed, "config")
-    version = _int(_get(obj, "schema_version", "config", default=SCHEMA_VERSION),
-                   "config.schema_version")
+    raw = dict(_expect_dict(obj, "config"))
+    version = _from_json(int, raw.pop("schema_version", SCHEMA_VERSION), "config.schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"config.schema_version: unsupported version {version}")
-    name = _str(_get(obj, "name", "config", default="experiment"), "config.name")
-    if not name:
-        raise ConfigError("config.name: must be non-empty")
-    seed = _int(_get(obj, "seed", "config", default=0), "config.seed", minimum=0)
-
-    raw_model = _expect_dict(_get(obj, "model", "config", required=True), "config.model")
-    _no_unknown(raw_model, {"loss", "layers"}, "config.model")
-    loss = _str(_get(raw_model, "loss", "config.model", default="mse"),
-                "config.model.loss", choices=LOSS_KINDS)
-    raw_layers = _get(raw_model, "layers", "config.model", required=True)
-    if not isinstance(raw_layers, list) or not raw_layers:
-        raise ConfigError("config.model.layers: must be a non-empty array")
-    layers = tuple(
-        _parse_layer(l, f"config.model.layers[{i}]") for i, l in enumerate(raw_layers)
-    )
-
-    raw_task = _expect_dict(_get(obj, "task", "config", required=True), "config.task")
-    _no_unknown(raw_task, {"kind", "input_dim", "sample_count", "noise_std",
-                           "teacher_ranks", "teacher_scale", "blob_separation"},
-                "config.task")
-    kind = _str(_get(raw_task, "kind", "config.task", required=True),
-                "config.task.kind", choices=TASK_KINDS)
-    raw_ranks = _get(raw_task, "teacher_ranks", "config.task", default=[])
-    if not isinstance(raw_ranks, list):
-        raise ConfigError("config.task.teacher_ranks: must be an array")
-    ranks = tuple(
-        _int(r, f"config.task.teacher_ranks[{i}]", minimum=1)
-        for i, r in enumerate(raw_ranks)
-    )
-    task = _build("config.task", lambda: SyntheticTask(
-        kind=kind,
-        input_dim=_int(_get(raw_task, "input_dim", "config.task", required=True),
-                       "config.task.input_dim", minimum=1),
-        sample_count=_int(_get(raw_task, "sample_count", "config.task", required=True),
-                          "config.task.sample_count", minimum=1),
-        noise_std=_num(_get(raw_task, "noise_std", "config.task", default=0.0),
-                       "config.task.noise_std", minimum=0.0),
-        teacher_ranks=ranks,
-        teacher_scale=_num(_get(raw_task, "teacher_scale", "config.task", default=1.0),
-                           "config.task.teacher_scale", minimum=0.0, exclusive=True),
-        blob_separation=_num(_get(raw_task, "blob_separation", "config.task", default=4.0),
-                             "config.task.blob_separation", minimum=0.0, exclusive=True),
-    ))
-
-    raw_opt = _expect_dict(_get(obj, "optimizer", "config", default={}), "config.optimizer")
-    _no_unknown(raw_opt, {"lr", "beta1", "beta2", "eps", "weight_decay"}, "config.optimizer")
-    optimizer = _build("config.optimizer", lambda: OptimizerConfig(
-        lr=_num(_get(raw_opt, "lr", "config.optimizer", default=1e-2),
-                "config.optimizer.lr", minimum=0.0, exclusive=True),
-        beta1=_num(_get(raw_opt, "beta1", "config.optimizer", default=0.9),
-                   "config.optimizer.beta1", minimum=0.0),
-        beta2=_num(_get(raw_opt, "beta2", "config.optimizer", default=0.999),
-                   "config.optimizer.beta2", minimum=0.0),
-        eps=_num(_get(raw_opt, "eps", "config.optimizer", default=1e-8),
-                 "config.optimizer.eps", minimum=0.0, exclusive=True),
-        weight_decay=_num(_get(raw_opt, "weight_decay", "config.optimizer", default=0.0),
-                          "config.optimizer.weight_decay", minimum=0.0),
-    ))
-
-    raw_sched = _expect_dict(_get(obj, "schedule", "config", required=True), "config.schedule")
-    _no_unknown(raw_sched, {"b0", "t_warmup", "t_final", "total_steps", "delta_t"},
-                "config.schedule")
-    schedule = _build("config.schedule", lambda: BudgetSchedule(
-        b0=_int(_get(raw_sched, "b0", "config.schedule", required=True),
-                "config.schedule.b0", minimum=1),
-        t_warmup=_int(_get(raw_sched, "t_warmup", "config.schedule", required=True),
-                      "config.schedule.t_warmup", minimum=0),
-        t_final=_int(_get(raw_sched, "t_final", "config.schedule", required=True),
-                     "config.schedule.t_final", minimum=0),
-        total_steps=_int(_get(raw_sched, "total_steps", "config.schedule", required=True),
-                         "config.schedule.total_steps", minimum=1),
-        delta_t=_int(_get(raw_sched, "delta_t", "config.schedule", required=True),
-                     "config.schedule.delta_t", minimum=1),
-    ))
-
-    raw_metric = _expect_dict(_get(obj, "metric", "config", default={}), "config.metric")
-    _no_unknown(raw_metric, {"variant", "epsilon", "beta1", "beta2"}, "config.metric")
-    metric = _build("config.metric", lambda: MetricKind(
-        variant=_str(_get(raw_metric, "variant", "config.metric", default="spectral_entropy"),
-                     "config.metric.variant", choices=METRIC_VARIANTS),
-        epsilon=_num(_get(raw_metric, "epsilon", "config.metric", default=1e-12),
-                     "config.metric.epsilon", minimum=0.0, exclusive=True),
-        beta1=_num(_get(raw_metric, "beta1", "config.metric", default=0.85),
-                   "config.metric.beta1", minimum=0.0),
-        beta2=_num(_get(raw_metric, "beta2", "config.metric", default=0.85),
-                   "config.metric.beta2", minimum=0.0),
-    ))
-
-    mode = _str(_get(obj, "mode", "config", default="bidirectional"), "config.mode",
-                choices=ALLOCATOR_MODES)
-
-    raw_init = _expect_dict(_get(obj, "init_strategy", "config", default={}),
-                            "config.init_strategy")
-    _no_unknown(raw_init, {"variant", "small_value", "gauss_std"}, "config.init_strategy")
-    init_strategy = _build("config.init_strategy", lambda: InitStrategy(
-        variant=_str(_get(raw_init, "variant", "config.init_strategy", default="zero_impact"),
-                     "config.init_strategy.variant", choices=INIT_VARIANTS),
-        small_value=_num(_get(raw_init, "small_value", "config.init_strategy", default=1e-4),
-                         "config.init_strategy.small_value", minimum=0.0, exclusive=True),
-        gauss_std=_num(_get(raw_init, "gauss_std", "config.init_strategy", default=0.02),
-                       "config.init_strategy.gauss_std", minimum=0.0, exclusive=True),
-    ))
-
-    output_dir = _get(obj, "output_dir", "config")
-    if output_dir is not None:
-        output_dir = _str(output_dir, "config.output_dir")
-
-    try:
-        return TrainConfig(
-            name=name,
-            seed=seed,
-            layers=layers,
-            loss=loss,
-            task=task,
-            optimizer=optimizer,
-            schedule=schedule,
-            metric=metric,
-            mode=mode,
-            init_strategy=init_strategy,
-            regularizer_weight=_num(_get(obj, "regularizer_weight", "config", default=0.1),
-                                    "config.regularizer_weight", minimum=0.0),
-            batch_size=_int(_get(obj, "batch_size", "config", default=32),
-                            "config.batch_size", minimum=1),
-            log_every=_int(_get(obj, "log_every", "config", default=50),
-                           "config.log_every", minimum=1),
-            output_dir=output_dir,
-        )
-    except ParameterError as exc:
-        raise ConfigError(f"config: {exc}") from None
+    raw.pop("applied_overrides", None)
+    for key in raw:  # a dotted key could pose as a flattened "model." key
+        if "." in key:
+            raise ConfigError(f"config.{key}: unknown field")
+    if "model" in raw:
+        model = _expect_dict(raw.pop("model"), "config.model")
+        raw.update({f"model.{key}": value for key, value in model.items()})
+    config = _dataclass_from_json(TrainConfig, raw, "config")
+    # A config caps r_max at the layer's smaller side whatever the init
+    # variant; the Python API allows more where the expansion can use it.
+    for i, spec in enumerate(config.layers):
+        if spec.adapter is not None and spec.adapter.r_max > min(spec.d_in, spec.d_out):
+            raise ConfigError(
+                f"config.model.layers[{i}].adapter.r_max: must be <= min(d_in, d_out)")
+    return config
 
 
 def config_to_json(config, applied_overrides=()):
     """Effective config with every default materialized."""
-    layers = []
-    for spec in config.layers:
-        if spec.kind != "linear":
-            layers.append({"type": spec.kind})
-            continue
-        entry = {
-            "type": "linear",
-            "d_in": spec.d_in,
-            "d_out": spec.d_out,
-            "bias": spec.bias,
-            "adapter": None,
-        }
-        if spec.adapter is not None:
-            entry["adapter"] = {
-                "id": spec.adapter.adapter_id,
-                "r_init": spec.adapter.r_init,
-                "r_max": spec.adapter.r_max,
-                "alpha": spec.adapter.alpha,
-            }
-        layers.append(entry)
-    task = config.task
-    sched = config.schedule
-    metric = config.metric
-    opt = config.optimizer
-    init = config.init_strategy
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": config.name,
-        "seed": config.seed,
-        "model": {"loss": config.loss, "layers": layers},
-        "task": {
-            "kind": task.kind,
-            "input_dim": task.input_dim,
-            "sample_count": task.sample_count,
-            "noise_std": task.noise_std,
-            "teacher_ranks": list(task.teacher_ranks),
-            "teacher_scale": task.teacher_scale,
-            "blob_separation": task.blob_separation,
-        },
-        "optimizer": {
-            "lr": opt.lr, "beta1": opt.beta1, "beta2": opt.beta2,
-            "eps": opt.eps, "weight_decay": opt.weight_decay,
-        },
-        "regularizer_weight": config.regularizer_weight,
-        "schedule": {
-            "b0": sched.b0, "t_warmup": sched.t_warmup, "t_final": sched.t_final,
-            "total_steps": sched.total_steps, "delta_t": sched.delta_t,
-        },
-        "metric": {
-            "variant": metric.variant, "epsilon": metric.epsilon,
-            "beta1": metric.beta1, "beta2": metric.beta2,
-        },
-        "mode": config.mode,
-        "init_strategy": {
-            "variant": init.variant, "small_value": init.small_value,
-            "gauss_std": init.gauss_std,
-        },
-        "batch_size": config.batch_size,
-        "log_every": config.log_every,
-        "output_dir": config.output_dir,
-        "applied_overrides": list(applied_overrides),
-    }
+    out = _to_json(config)
+    out["model"] = {"loss": out.pop("model.loss"), "layers": out.pop("model.layers")}
+    out["schema_version"] = SCHEMA_VERSION
+    out["applied_overrides"] = list(applied_overrides)
+    return out
 
 
 def apply_overrides(obj, overrides):

@@ -62,7 +62,7 @@ class MetricKind:
     by the others.
     """
 
-    variant: str
+    variant: str = "spectral_entropy"
     epsilon: float = EPSILON_DEFAULT
     beta1: float = 0.85
     beta2: float = 0.85

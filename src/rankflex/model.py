@@ -13,11 +13,12 @@ the optimizer can track rank surgery slice by slice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adapter import SvdAdapter
+from .adapter import SvdAdapter, _check_id
 from .errors import ConfigError, ParameterError, ShapeError, StalenessError
 from .linalg import gaussian_matrix
 
@@ -45,6 +46,13 @@ class AdapterSpec:
     r_max: int
     alpha: float = 16.0
 
+    def __post_init__(self):
+        _check_id(self.adapter_id)
+        if not 1 <= self.r_init <= self.r_max:
+            raise ParameterError(f"need 1 <= r_init <= r_max, got {self.r_init} and {self.r_max}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ParameterError("alpha must be positive and finite")
+
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -59,7 +67,8 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind == "linear":
             if self.d_in < 1 or self.d_out < 1:
-                raise ParameterError(f"linear layer needs positive dims, got {self.d_in}x{self.d_out}")
+                raise ParameterError(
+                    f"linear layer needs d_in >= 1 and d_out >= 1, got {self.d_in}x{self.d_out}")
         elif self.kind not in ACTIVATION_KINDS:
             raise ParameterError(f"unknown layer kind {self.kind!r}")
 

@@ -56,14 +56,13 @@ class SyntheticTask:
             raise ParameterError("sample_count must be >= 1")
         if not self.noise_std >= 0.0:
             raise ParameterError("noise_std must be >= 0")
-        if self.kind == "low_rank_teacher":
-            if not self.teacher_ranks:
-                raise ParameterError("low_rank_teacher needs teacher_ranks")
-            if any(r < 1 for r in self.teacher_ranks):
-                raise ParameterError("teacher ranks must be >= 1")
-            if not self.teacher_scale > 0.0:
-                raise ParameterError("teacher_scale must be positive")
-        if self.kind == "two_blobs" and not self.blob_separation > 0.0:
+        if self.kind == "low_rank_teacher" and not self.teacher_ranks:
+            raise ParameterError("low_rank_teacher needs teacher_ranks")
+        if any(r < 1 for r in self.teacher_ranks):
+            raise ParameterError("teacher ranks must be >= 1")
+        if not self.teacher_scale > 0.0:
+            raise ParameterError("teacher_scale must be positive")
+        if not self.blob_separation > 0.0:
             raise ParameterError("blob_separation must be positive")
 
 

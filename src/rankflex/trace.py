@@ -14,6 +14,7 @@ with its line context.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 from .allocator import ALLOCATOR_MODES, BudgetSchedule
 from .errors import TraceError
@@ -48,13 +49,7 @@ def write_trace(path, header, events, abort=None):
 
 def _header_schedule(header):
     s = header["schedule"]
-    return BudgetSchedule(
-        b0=int(s["b0"]),
-        t_warmup=int(s["t_warmup"]),
-        t_final=int(s["t_final"]),
-        total_steps=int(s["total_steps"]),
-        delta_t=int(s["delta_t"]),
-    )
+    return BudgetSchedule(**{f.name: int(s[f.name]) for f in fields(BudgetSchedule)})
 
 
 def read_trace(path):
@@ -198,15 +193,16 @@ def heatmap_table(header, events):
     meta = sorted(header["adapters"], key=lambda m: m["depth"])
     ids = [m["id"] for m in meta]
     ranks = {m["id"]: int(m["r_init"]) for m in meta}
-    steps = sorted({e.step for e in events})
+    by_step = {}
+    for e in events:
+        by_step.setdefault(e.step, []).append(e)
+    steps = sorted(by_step)
     grid = {aid: [ranks[aid]] for aid in ids}
-    index = {aid: i for i, aid in enumerate(ids)}
     for step in steps:
-        for e in events:
-            if e.step == step:
-                if e.adapter_id not in index:
-                    raise TraceError(f"event for unknown adapter {e.adapter_id!r}")
-                ranks[e.adapter_id] = e.rank_after
+        for e in by_step[step]:
+            if e.adapter_id not in ranks:
+                raise TraceError(f"event for unknown adapter {e.adapter_id!r}")
+            ranks[e.adapter_id] = e.rank_after
         for aid in ids:
             grid[aid].append(ranks[aid])
     labels = ["init"] + [str(s) for s in steps]

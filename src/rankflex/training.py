@@ -14,7 +14,7 @@ optimizer state to the new ranks.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .allocator import ALLOCATOR_MODES, BudgetSchedule, apply_allocation, select
 from .adapter import InitStrategy
 from .errors import DivergenceError, ParameterError
 from .importance import MetricKind, SensitivityState, score_all, sensitivity_update
-from .model import LayerSpec, ToyModel, build_model
+from .model import LOSS_KINDS, LayerSpec, ToyModel, build_model
 from .optim import AdamW
 from .tasks import SyntheticTask, build_teacher, sample_blobs, sample_regression
 
@@ -56,20 +56,23 @@ class OptimizerConfig:
         return AdamW(self.lr, self.beta1, self.beta2, self.eps, self.weight_decay)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TrainConfig:
-    """Everything a run depends on; frozen and array-free by construction."""
+    """Everything a run depends on; frozen and array-free by construction.
 
-    name: str
-    seed: int
+    The field order is part of ``fingerprint``, which hashes the repr.
+    """
+
+    name: str = "experiment"
+    seed: int = 0
     layers: tuple[LayerSpec, ...]
-    loss: str
+    loss: str = "mse"
     task: SyntheticTask
-    optimizer: OptimizerConfig
+    optimizer: OptimizerConfig = OptimizerConfig()
     schedule: BudgetSchedule
-    metric: MetricKind
+    metric: MetricKind = MetricKind()
     mode: str = "bidirectional"
-    init_strategy: InitStrategy = InitStrategy("zero_impact")
+    init_strategy: InitStrategy = InitStrategy()
     regularizer_weight: float = 0.1
     batch_size: int = 32
     log_every: int = 50
@@ -78,6 +81,10 @@ class TrainConfig:
     def __post_init__(self):
         if not self.name:
             raise ParameterError("name must be non-empty")
+        if self.seed < 0:
+            raise ParameterError("seed must be >= 0")
+        if self.loss not in LOSS_KINDS:
+            raise ParameterError(f"unknown loss {self.loss!r}")
         if self.mode not in ALLOCATOR_MODES:
             raise ParameterError(f"unknown allocator mode {self.mode!r}")
         if not self.regularizer_weight >= 0.0:
@@ -88,6 +95,16 @@ class TrainConfig:
             raise ParameterError("log_every must be >= 1")
         if not self.layers:
             raise ParameterError("layers must be non-empty")
+        if self.init_strategy.variant in ("small_init", "orthogonal_init"):
+            # These variants expand along directions orthogonal to the
+            # existing factors, and a d-dimensional space holds only d.
+            for spec in self.layers:
+                a = spec.adapter
+                if a is not None and a.r_max > min(spec.d_in, spec.d_out):
+                    raise ParameterError(
+                        f"adapter {a.adapter_id!r}: {self.init_strategy.variant} needs "
+                        f"r_max <= min(d_in, d_out) = {min(spec.d_in, spec.d_out)}, "
+                        f"got {a.r_max}")
 
     def fingerprint(self):
         """Deterministic hash of the config (nested dataclass repr).
@@ -125,13 +142,7 @@ def _trace_header(config, model):
         "mode": config.mode,
         "metric": config.metric.variant,
         "init_strategy": config.init_strategy.variant,
-        "schedule": {
-            "b0": sched.b0,
-            "t_warmup": sched.t_warmup,
-            "t_final": sched.t_final,
-            "total_steps": sched.total_steps,
-            "delta_t": sched.delta_t,
-        },
+        "schedule": {f.name: getattr(sched, f.name) for f in fields(BudgetSchedule)},
         "adapters": [
             {"id": a.id, "r_init": a.r_init, "r_max": a.r_max, "depth": depths[a.id]}
             for a in model.adapters()

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -192,6 +194,28 @@ class TestTrain:
         assert main(["train", cfg]) == 1
         assert "locked" in capsys.readouterr().err
         assert not (outdir / "trace.jsonl").exists()
+
+    def test_stale_lock_reported_not_removed(self, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        outdir = tmp_path / "runs" / "cliunit"
+        outdir.mkdir(parents=True)
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped: no process has this pid any more
+        lock = outdir / ".lock"
+        lock.write_text(f"pid {child.pid}\n")
+        assert main(["train", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "stale" in err and str(child.pid) in err
+        assert os.path.join("runs", "cliunit", ".lock") in err
+        assert lock.read_text() == f"pid {child.pid}\n"
+        assert not (outdir / "trace.jsonl").exists()
+
+    def test_seed_flag_on_non_object_config_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, [1, 2])
+        assert main(["train", cfg, "--seed", "3"]) == 2
+        assert "must be an object" in capsys.readouterr().err
 
 
 class TestImportance:

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 
 import pytest
@@ -245,3 +246,30 @@ class TestLoadFile:
 
     def test_schema_version_constant(self):
         assert SCHEMA_VERSION == 1
+
+
+class TestPinnedOutput:
+    """The config hash and the rendered effective_config.json are pinned, so a
+    change to how configs are parsed or echoed cannot move either unnoticed."""
+
+    @staticmethod
+    def _effective_config_digest(cfg):
+        # Rendered exactly as `rankflex train` writes effective_config.json.
+        text = json.dumps(config_to_json(cfg), indent=2, sort_keys=True) + "\n"
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def test_minimal_config(self):
+        cfg = parse_config(minimal_config())
+        assert cfg.fingerprint() == (
+            "afe186898cbc837cb0cea37f5c5ca8315936de160c9762b26d6fcdac71ef98a7")
+        assert self._effective_config_digest(cfg) == (
+            "ef70de8d6965b92e3f96020656410ec0da20a883b9eaa9656672f5cbde871740")
+
+    def test_criterion_8_config(self):
+        from test_acceptance import _determinism_config
+
+        cfg = _determinism_config()
+        assert cfg.fingerprint() == (
+            "64b23d6e99b3b10a33755a817976253f3f8aecd6d168d033197880af12733c50")
+        assert self._effective_config_digest(cfg) == (
+            "5b507d1d755e9a83428fece32f831580205a9f09d7607b229581ae3c9b43f883")

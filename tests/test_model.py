@@ -43,6 +43,20 @@ class TestSpecsAndConstruction:
         LayerSpec("tanh")
         LayerSpec("relu")
 
+    def test_adapter_spec_validation(self):
+        for args, kwargs in (
+            (("bad id", 1, 2), {}),
+            (("a,b", 1, 2), {}),
+            (("", 1, 2), {}),
+            (("a", 0, 2), {}),
+            (("a", 3, 2), {}),
+            (("a", 1, 2), {"alpha": 0.0}),
+            (("a", 1, 2), {"alpha": math.inf}),
+        ):
+            with pytest.raises(ParameterError):
+                AdapterSpec(*args, **kwargs)
+        AdapterSpec("a", 2, 2)
+
     def test_unknown_loss(self):
         layer = LinearLayer(np.eye(2))
         with pytest.raises(ParameterError):

@@ -65,6 +65,14 @@ class TestTaskValidation:
             SyntheticTask(kind="two_blobs", input_dim=4, sample_count=8,
                           blob_separation=0.0)
 
+    def test_shared_fields_checked_for_every_kind(self):
+        for extra in ({"teacher_ranks": (0,)}, {"teacher_scale": 0.0},
+                      {"blob_separation": -1.0}):
+            for kind, ranks in (("two_blobs", ()), ("low_rank_teacher", (2,))):
+                with pytest.raises(ParameterError):
+                    SyntheticTask(kind=kind, input_dim=4, sample_count=8,
+                                  **{"teacher_ranks": ranks, **extra})
+
 
 class TestBuildTeacher:
     def test_deltas_have_exact_rank(self):

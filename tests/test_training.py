@@ -58,6 +58,30 @@ class TestConfigValidation:
             make_config(batch_size=0)
         with pytest.raises(ParameterError):
             make_config(log_every=0)
+
+    def test_rejects_negative_seed_and_unknown_loss(self):
+        with pytest.raises(ParameterError):
+            make_config(seed=-1)
+        with pytest.raises(ParameterError):
+            make_config(loss="hinge")
+
+    def test_orthogonal_expansion_needs_r_max_within_dims(self):
+        # An expansion orthogonal to r_max - 1 directions needs r_max of them
+        # in the 3-dimensional side of this adapter.
+        def config(variant):
+            return make_config(
+                layers=(LayerSpec("linear", 4, 3, adapter=AdapterSpec("a", 2, 4)),
+                        LayerSpec("tanh"), LayerSpec("linear", 3, 4)),
+                task=SyntheticTask(kind="low_rank_teacher", input_dim=4,
+                                   sample_count=16, teacher_ranks=(2,)),
+                schedule=BudgetSchedule(1, 0, 0, 20, 1), mode="expand_only",
+                init_strategy=InitStrategy(variant))
+
+        for variant in ("orthogonal_init", "small_init"):
+            with pytest.raises(ParameterError, match="r_max"):
+                config(variant)
+        result = run_training(config("zero_impact"))
+        assert result.model.adapters()[0].rank == 4
         with pytest.raises(ParameterError):
             make_config(layers=())
 
