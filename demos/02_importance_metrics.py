@@ -11,14 +11,7 @@ CLI equivalent: `rankflex importance spectrum.csv` on a one-row CSV.
 
 import numpy as np
 
-from rankflex.importance import (
-    elem_energy_entropy,
-    frobenius_mean,
-    mat_energy_entropy,
-    nuclear_mean,
-    spectral_entropy,
-    spectrum_flag,
-)
+from rankflex.importance import SPECTRUM_METRICS, spectrum_flag
 
 SPECTRA = {
     "uniform, all equal": np.array([0.5, 0.5, 0.5, 0.5]),
@@ -29,19 +22,11 @@ SPECTRA = {
     "untrained (all zero)": np.zeros(4),
 }
 
-METRICS = (
-    ("spectral_entropy", spectral_entropy),
-    ("nuclear", nuclear_mean),
-    ("frobenius", frobenius_mean),
-    ("elem_energy_entropy", elem_energy_entropy),
-    ("mat_energy_entropy", mat_energy_entropy),
-)
-
-header = f"{'spectrum':24s}" + "".join(f"{name:>22s}" for name, _ in METRICS)
+header = f"{'spectrum':24s}" + "".join(f"{name:>22s}" for name in SPECTRUM_METRICS)
 print(header)
 print("-" * len(header))
 for label, lam in SPECTRA.items():
-    cells = "".join(f"{fn(lam):22.6f}" for _, fn in METRICS)
+    cells = "".join(f"{fn(lam):22.6f}" for fn in SPECTRUM_METRICS.values())
     flag = spectrum_flag(lam)
     print(f"{label:24s}{cells}" + (f"  <- flagged {flag}" if flag else ""))
 

@@ -11,139 +11,3 @@ round out the engine at desk scale.
 
 Everything is numpy + stdlib; runs are pure functions of (config, seed).
 """
-
-from .adapter import INIT_VARIANTS, InitStrategy, SvdAdapter
-from .allocator import ALLOCATOR_MODES, BudgetSchedule, apply_allocation, select_candidates
-from .checkpoint import load_checkpoint, save_checkpoint
-from .config import apply_overrides, config_to_json, load_config_file, parse_config
-from .errors import (
-    ConfigError,
-    DegenerateInputError,
-    DegenerateSpectrumError,
-    DivergenceError,
-    MaxRankError,
-    MinRankError,
-    ParameterError,
-    ParseError,
-    RankflexError,
-    RankFullError,
-    ShapeError,
-    StalenessError,
-    TraceError,
-)
-from .events import AllocationEvent
-from .importance import (
-    METRIC_VARIANTS,
-    ImportanceReport,
-    MetricKind,
-    SensitivityState,
-    elem_energy_entropy,
-    energy_distribution,
-    frobenius_mean,
-    mat_energy_entropy,
-    nuclear_mean,
-    score_all,
-    sensitivity_update,
-    spectral_entropy,
-    spectrum_flag,
-)
-from .linalg import (
-    Spectrum,
-    frobenius_norm,
-    gaussian_matrix,
-    gram_schmidt_extend,
-    load_matrix_csv,
-    matmul,
-    save_matrix_csv,
-    seeded_rng,
-    split_rng,
-)
-from .model import (
-    ActivationLayer,
-    AdapterSpec,
-    LayerSpec,
-    LinearLayer,
-    ToyModel,
-    build_model,
-    mse_loss,
-    softmax_ce_loss,
-)
-from .optim import AdamW
-from .tasks import Dataset, SyntheticTask, TeacherNet, build_teacher, make_task
-from .trace import heatmap_table, read_trace, verify_trace, write_trace
-from .training import OptimizerConfig, TrainConfig, TrainResult, run_training
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AdamW",
-    "ActivationLayer",
-    "AdapterSpec",
-    "AllocationEvent",
-    "ALLOCATOR_MODES",
-    "BudgetSchedule",
-    "ConfigError",
-    "Dataset",
-    "DegenerateInputError",
-    "DegenerateSpectrumError",
-    "DivergenceError",
-    "ImportanceReport",
-    "INIT_VARIANTS",
-    "InitStrategy",
-    "LayerSpec",
-    "LinearLayer",
-    "MaxRankError",
-    "METRIC_VARIANTS",
-    "MetricKind",
-    "MinRankError",
-    "OptimizerConfig",
-    "ParameterError",
-    "ParseError",
-    "RankFullError",
-    "RankflexError",
-    "SensitivityState",
-    "ShapeError",
-    "Spectrum",
-    "StalenessError",
-    "SvdAdapter",
-    "SyntheticTask",
-    "TeacherNet",
-    "ToyModel",
-    "TraceError",
-    "TrainConfig",
-    "TrainResult",
-    "apply_allocation",
-    "apply_overrides",
-    "build_model",
-    "build_teacher",
-    "config_to_json",
-    "elem_energy_entropy",
-    "energy_distribution",
-    "frobenius_mean",
-    "frobenius_norm",
-    "gaussian_matrix",
-    "gram_schmidt_extend",
-    "heatmap_table",
-    "load_checkpoint",
-    "load_config_file",
-    "load_matrix_csv",
-    "make_task",
-    "matmul",
-    "mse_loss",
-    "nuclear_mean",
-    "parse_config",
-    "read_trace",
-    "run_training",
-    "save_checkpoint",
-    "save_matrix_csv",
-    "score_all",
-    "seeded_rng",
-    "select_candidates",
-    "sensitivity_update",
-    "softmax_ce_loss",
-    "spectral_entropy",
-    "spectrum_flag",
-    "split_rng",
-    "verify_trace",
-    "write_trace",
-]

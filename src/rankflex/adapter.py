@@ -128,8 +128,6 @@ class SvdAdapter:
         base = np.asarray(base_w, dtype=np.float64)
         if base.ndim != 2:
             raise ShapeError("base_w must be 2-D")
-        if r_init < 1 or r_max < r_init:
-            raise ParameterError(f"need 1 <= r_init <= r_max, got {r_init}, {r_max}")
         d_out, d_in = base.shape
         p = gaussian_matrix(d_out, r_init, init_std, rng)
         q = gaussian_matrix(r_init, d_in, init_std, rng)

@@ -33,15 +33,7 @@ from .errors import (
     RankflexError,
     TraceError,
 )
-from .importance import (
-    EPSILON_DEFAULT,
-    elem_energy_entropy,
-    frobenius_mean,
-    mat_energy_entropy,
-    nuclear_mean,
-    spectral_entropy,
-    spectrum_flag,
-)
+from .importance import EPSILON_DEFAULT, SPECTRUM_METRICS, spectrum_flag
 from .trace import heatmap_csv_lines, read_trace, trace_lines, verify_trace
 from .training import metrics_csv_lines, run_training
 
@@ -51,7 +43,11 @@ OUTPUT_DIR_ENV = "RANKFLEX_OUTPUT_DIR"
 
 
 def _atomic_write(path, text):
+    """Replace ``path`` by a new regular file; an existing target of another
+    kind (a named pipe, a device, a directory) is refused, not replaced."""
     path = Path(path)
+    if path.exists() and not path.is_file():
+        raise ParameterError(f"{path}: exists and is not a regular file")
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
@@ -162,11 +158,8 @@ def cmd_importance(args):
     eps = args.epsilon
     if not eps > 0.0:
         raise ParameterError("epsilon must be positive")
-    print(f"spectral_entropy {spectral_entropy(values, eps):#.12g}")
-    print(f"nuclear {nuclear_mean(values):#.12g}")
-    print(f"frobenius {frobenius_mean(values):#.12g}")
-    print(f"elem_energy_entropy {elem_energy_entropy(values, eps):#.12g}")
-    print(f"mat_energy_entropy {mat_energy_entropy(values, eps):#.12g}")
+    for name, fn in SPECTRUM_METRICS.items():
+        print(f"{name} {fn(values, eps):#.12g}")
     print("sensitivity n/a")
     flag = spectrum_flag(values)
     if flag is not None:

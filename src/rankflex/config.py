@@ -96,7 +96,10 @@ def _from_json(tp, value, path, choices=None):
     elif tp is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: must be a number")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
         if not math.isfinite(value):
             raise ConfigError(f"{path}: must be finite")
     elif tp is str:

@@ -37,6 +37,7 @@ __all__ = [
     "mat_energy_entropy",
     "sensitivity_update",
     "spectrum_flag",
+    "SPECTRUM_METRICS",
     "matrix_score",
     "score_all",
 ]
@@ -221,23 +222,24 @@ def spectrum_flag(lam):
     return None
 
 
+# The metrics computed from the spectrum alone, by variant name, each called
+# as fn(lam, epsilon); the magnitude means have no logarithm to guard.
+SPECTRUM_METRICS = {
+    "spectral_entropy": spectral_entropy,
+    "nuclear": lambda lam, epsilon=EPSILON_DEFAULT: nuclear_mean(lam),
+    "frobenius": lambda lam, epsilon=EPSILON_DEFAULT: frobenius_mean(lam),
+    "elem_energy_entropy": elem_energy_entropy,
+    "mat_energy_entropy": mat_energy_entropy,
+}
+
+
 def matrix_score(lam, metric, state=None):
     """Score one adapter's spectrum under ``metric``."""
     if metric.variant == "sensitivity":
         if state is None:
             raise ParameterError("sensitivity scoring requires per-adapter state")
         return state.score
-    if metric.variant == "spectral_entropy":
-        return spectral_entropy(lam, metric.epsilon)
-    if metric.variant == "nuclear":
-        return nuclear_mean(lam)
-    if metric.variant == "frobenius":
-        return frobenius_mean(lam)
-    if metric.variant == "elem_energy_entropy":
-        return elem_energy_entropy(lam, metric.epsilon)
-    if metric.variant == "mat_energy_entropy":
-        return mat_energy_entropy(lam, metric.epsilon)
-    raise ParameterError(f"unknown metric variant {metric.variant!r}")
+    return SPECTRUM_METRICS[metric.variant](lam, metric.epsilon)
 
 
 def score_all(adapters, metric, states=None, step=0):

@@ -5,7 +5,7 @@ Matrices are plain ``numpy.ndarray`` objects in row-major float64; vectors are
 explicit ``numpy.random.Generator`` created by :func:`seeded_rng`, which pins
 the PCG64 bit generator so a given seed produces the same stream everywhere.
 
-Matrix CSV files are one row per line, values separated by commas, each value
+Matrix CSV lines hold one row each, values separated by commas, each value
 formatted with ``repr`` so the round trip is exact at the bit level.
 """
 
@@ -24,15 +24,10 @@ from .errors import (
 __all__ = [
     "seeded_rng",
     "split_rng",
-    "matmul",
     "gaussian_matrix",
-    "frobenius_norm",
     "gram_schmidt_extend",
-    "Spectrum",
     "matrix_to_csv_lines",
     "matrix_from_csv_lines",
-    "save_matrix_csv",
-    "load_matrix_csv",
 ]
 
 
@@ -59,15 +54,6 @@ def _as_2d(a, name="matrix"):
     return m
 
 
-def matmul(a, b):
-    """Matrix product with explicit conformance checking."""
-    a = _as_2d(a, "left operand")
-    b = _as_2d(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def gaussian_matrix(rows, cols, std, rng):
     """Sample a rows-by-cols matrix with i.i.d. N(0, std^2) entries."""
     if rows < 1 or cols < 1:
@@ -75,12 +61,6 @@ def gaussian_matrix(rows, cols, std, rng):
     if not std > 0.0:
         raise ParameterError(f"std must be positive, got {std}")
     return std * rng.standard_normal((rows, cols))
-
-
-def frobenius_norm(m):
-    """Square root of the sum of squared entries."""
-    m = np.asarray(m, dtype=np.float64)
-    return float(np.sqrt(np.sum(m * m)))
 
 
 def gram_schmidt_extend(basis, candidate, rng, tol=1e-10, max_retries=8):
@@ -132,40 +112,6 @@ def gram_schmidt_extend(basis, candidate, rng, tol=1e-10, max_retries=8):
     )
 
 
-class Spectrum:
-    """Validated container for a singular-value list.
-
-    Entries must be finite and non-negative and there must be at least one.
-    The stored array is read-only; training-time spectra (which may go
-    negative) are handled as plain arrays by the metric functions instead.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        v = np.array(values, dtype=np.float64).reshape(-1)
-        if v.size < 1:
-            raise ParameterError("spectrum must contain at least one value")
-        if not np.all(np.isfinite(v)):
-            raise ParameterError("spectrum entries must be finite")
-        if np.any(v < 0.0):
-            raise ParameterError("spectrum entries must be non-negative")
-        v.flags.writeable = False
-        self.values = v
-
-    def __len__(self):
-        return int(self.values.size)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.values, dtype=dtype)
-
-    def __repr__(self):
-        return f"Spectrum({self.values.tolist()!r})"
-
-
 def matrix_to_csv_lines(m):
     """Render a matrix as CSV lines with exact float round-trip."""
     m = _as_2d(m)
@@ -195,14 +141,3 @@ def matrix_from_csv_lines(lines):
     if not np.all(np.isfinite(m)):
         raise ParseError("matrix contains non-finite values")
     return m
-
-
-def save_matrix_csv(m, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(matrix_to_csv_lines(m)) + "\n")
-
-
-def load_matrix_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    return matrix_from_csv_lines(lines)

@@ -177,13 +177,6 @@ class ToyModel:
                 return layer.d_in
         raise ParameterError("model has no linear layer")
 
-    @property
-    def output_dim(self):
-        for layer in reversed(self.layers):
-            if isinstance(layer, LinearLayer):
-                return layer.d_out
-        raise ParameterError("model has no linear layer")
-
     def adapters(self):
         """Adapters in depth order."""
         return [l.adapter for l in self.layers if isinstance(l, LinearLayer) and l.adapter is not None]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .linalg import gram_schmidt_extend
-from .model import ActivationLayer, LinearLayer, ToyModel
+from .model import ActivationLayer, LinearLayer
 
 __all__ = [
     "TASK_KINDS",
@@ -29,7 +29,6 @@ __all__ = [
     "build_teacher",
     "sample_regression",
     "sample_blobs",
-    "make_task",
 ]
 
 TASK_KINDS = ("low_rank_teacher", "two_blobs")
@@ -89,13 +88,6 @@ class TeacherNet:
             else:
                 h = np.maximum(h, 0.0)
         return h
-
-    @property
-    def output_dim(self):
-        for kind, w in reversed(self.layers):
-            if kind == "linear":
-                return w.shape[0]
-        raise ParameterError("teacher has no linear layer")
 
 
 @dataclass(frozen=True)
@@ -190,12 +182,3 @@ def sample_blobs(task, rng):
     x = rng.standard_normal((task.input_dim, n)) + center[:, None] * signs[None, :]
     return Dataset(inputs=x, targets=labels.astype(np.int64))
 
-
-def make_task(task, rng, model=None):
-    """Build the dataset for ``task``; the teacher kinds need the model."""
-    if task.kind == "low_rank_teacher":
-        if model is None:
-            raise ParameterError("low_rank_teacher needs the model for its base weights")
-        teacher = build_teacher(model, task, rng)
-        return sample_regression(teacher, task, rng)
-    return sample_blobs(task, rng)

@@ -52,6 +52,13 @@ def _header_schedule(header):
     return BudgetSchedule(**{f.name: int(s[f.name]) for f in fields(BudgetSchedule)})
 
 
+def _is_roster(adapters):
+    return isinstance(adapters, list) and all(
+        isinstance(a, dict) and isinstance(a.get("id"), str)
+        and all(type(a.get(k)) is int for k in ("r_init", "r_max", "depth"))
+        for a in adapters)
+
+
 def read_trace(path):
     """Parse a trace file into (header, events, abort-or-None).
 
@@ -62,6 +69,8 @@ def read_trace(path):
             raw = fh.read().splitlines()
     except FileNotFoundError:
         raise TraceError(f"trace file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TraceError(f"cannot read trace {path}: {exc}") from None
     lines = [(i + 1, ln) for i, ln in enumerate(raw) if ln.strip()]
     if not lines:
         raise TraceError("line 1: empty trace")
@@ -84,6 +93,9 @@ def read_trace(path):
             for key in ("version", "seed", "mode", "metric", "schedule", "adapters"):
                 if key not in obj:
                     raise TraceError(f"line {lineno}: header missing {key!r}")
+            if not _is_roster(obj["adapters"]):
+                raise TraceError(f"line {lineno}: header adapters must be a list of objects "
+                                 "with a string id and integer r_init, r_max and depth")
             try:
                 _header_schedule(obj)
             except Exception as exc:

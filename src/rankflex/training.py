@@ -22,6 +22,7 @@ from .allocator import ALLOCATOR_MODES, BudgetSchedule, apply_allocation, select
 from .adapter import InitStrategy
 from .errors import DivergenceError, ParameterError
 from .importance import MetricKind, SensitivityState, score_all, sensitivity_update
+from .linalg import split_rng
 from .model import LOSS_KINDS, LayerSpec, ToyModel, build_model
 from .optim import AdamW
 from .tasks import SyntheticTask, build_teacher, sample_blobs, sample_regression
@@ -95,6 +96,10 @@ class TrainConfig:
             raise ParameterError("log_every must be >= 1")
         if not self.layers:
             raise ParameterError("layers must be non-empty")
+        d_in = next((spec.d_in for spec in self.layers if spec.kind == "linear"), None)
+        if d_in is not None and self.task.input_dim != d_in:
+            raise ParameterError(
+                f"task.input_dim {self.task.input_dim} != the first linear layer's d_in {d_in}")
         if self.init_strategy.variant in ("small_init", "orthogonal_init"):
             # These variants expand along directions orthogonal to the
             # existing factors, and a d-dimensional space holds only d.
@@ -171,8 +176,7 @@ def run_training(config, observer=None):
     DivergenceError whose ``result`` still carries the partial trace with an
     abort record appended.
     """
-    streams = np.random.SeedSequence(config.seed).spawn(4)
-    model_rng, task_rng, batch_rng, alloc_rng = (np.random.default_rng(s) for s in streams)
+    model_rng, task_rng, batch_rng, alloc_rng = split_rng(config.seed, 4)
 
     model = build_model(config.layers, config.loss, model_rng,
                         init_std=config.init_strategy.gauss_std)

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -217,6 +218,13 @@ class TestTrain:
         assert main(["train", cfg, "--seed", "3"]) == 2
         assert "must be an object" in capsys.readouterr().err
 
+    def test_task_input_dim_mismatch_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        raw = base_config()
+        raw["task"]["input_dim"] = 5
+        assert main(["train", write_config(tmp_path, raw)]) == 2
+        assert "task.input_dim" in capsys.readouterr().err
+
 
 class TestImportance:
     def write_spectrum(self, tmp_path, text):
@@ -341,6 +349,14 @@ class TestExportHeatmap:
         assert dest.read_text() == "\n".join(
             heatmap_csv_lines(header, events)) + "\n"
 
+    def test_out_refuses_a_named_pipe(self, trained_dir, tmp_path, capsys):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        trace = str(trained_dir / "trace.jsonl")
+        assert main(["export-heatmap", trace, "--out", str(fifo)]) == 2
+        assert "not a regular file" in capsys.readouterr().err
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
     def test_missing_trace_exits_1(self, tmp_path, capsys):
         assert main(["export-heatmap", str(tmp_path / "none.jsonl")]) == 1
         assert "not found" in capsys.readouterr().err
@@ -374,6 +390,18 @@ class TestReplayVerify:
     def test_missing_trace_exits_1(self, tmp_path, capsys):
         assert main(["replay-verify", str(tmp_path / "none.jsonl")]) == 1
         capsys.readouterr()
+
+    def test_directory_or_bad_roster_exits_1(self, trained_dir, capsys):
+        assert main(["replay-verify", str(trained_dir)]) == 1
+        assert "cannot read trace" in capsys.readouterr().err
+        trace = trained_dir / "trace.jsonl"
+        lines = trace.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["adapters"] = 5
+        lines[0] = json.dumps(header)
+        trace.write_text("\n".join(lines) + "\n")
+        assert main(["replay-verify", str(trace)]) == 1
+        assert "header adapters" in capsys.readouterr().err
 
 
 class TestParser:

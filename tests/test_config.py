@@ -109,6 +109,12 @@ class TestParse:
         with pytest.raises(ConfigError, match="config.schedule.b0"):
             parse_config(raw)
 
+    def test_integer_beyond_float_range_is_not_finite(self):
+        raw = minimal_config()
+        raw["task"]["noise_std"] = 10**400
+        with pytest.raises(ConfigError, match="config.task.noise_std: must be finite"):
+            parse_config(raw)
+
     def test_bad_choice_values(self):
         raw = minimal_config()
         raw["mode"] = "diagonal"

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rankflex.errors import (
     DegenerateInputError,
@@ -11,20 +9,13 @@ from rankflex.errors import (
     ShapeError,
 )
 from rankflex.linalg import (
-    Spectrum,
-    frobenius_norm,
     gaussian_matrix,
     gram_schmidt_extend,
-    load_matrix_csv,
-    matmul,
     matrix_from_csv_lines,
     matrix_to_csv_lines,
-    save_matrix_csv,
     seeded_rng,
     split_rng,
 )
-
-from oracles import matmul_bruteforce
 
 
 class TestSeededRng:
@@ -51,39 +42,6 @@ class TestSeededRng:
             split_rng(0, 0)
 
 
-class TestMatmul:
-    def test_against_bruteforce(self, rng):
-        for _ in range(20):
-            m, k, n = rng.integers(1, 7, size=3)
-            a = rng.standard_normal((m, k))
-            b = rng.standard_normal((k, n))
-            assert np.allclose(matmul(a, b), matmul_bruteforce(a, b), atol=1e-12)
-
-    def test_identity(self, rng):
-        a = rng.standard_normal((5, 5))
-        assert np.allclose(matmul(a, np.eye(5)), a)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_rejects_vectors(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros(3), np.zeros((3, 2)))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_associativity(self, seed):
-        r = np.random.default_rng(seed)
-        a = r.standard_normal((4, 3))
-        b = r.standard_normal((3, 5))
-        c = r.standard_normal((5, 2))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        scale = max(1.0, float(np.max(np.abs(left))))
-        assert np.max(np.abs(left - right)) / scale < 1e-9
-
-
 class TestGaussianMatrix:
     def test_moments(self):
         m = gaussian_matrix(100, 100, 1.0, seeded_rng(11))
@@ -103,19 +61,6 @@ class TestGaussianMatrix:
     def test_bad_dims(self):
         with pytest.raises(ParameterError):
             gaussian_matrix(0, 3, 1.0, seeded_rng(0))
-
-
-class TestFrobeniusNorm:
-    def test_elementwise_oracle(self, rng):
-        m = rng.standard_normal((6, 4))
-        expected = np.sqrt(sum(float(x) ** 2 for x in m.reshape(-1)))
-        assert abs(frobenius_norm(m) - expected) < 1e-12
-
-    def test_zero(self):
-        assert frobenius_norm(np.zeros((3, 3))) == 0.0
-
-    def test_known_value(self):
-        assert frobenius_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0, abs=1e-15)
 
 
 class TestGramSchmidtExtend:
@@ -169,41 +114,11 @@ class TestGramSchmidtExtend:
             gram_schmidt_extend(np.eye(5)[:, :2], np.zeros(5), ZeroRng())
 
 
-class TestSpectrum:
-    def test_holds_values(self):
-        s = Spectrum([3.0, 1.0, 0.0])
-        assert len(s) == 3
-        assert np.array_equal(np.asarray(s), [3.0, 1.0, 0.0])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ParameterError):
-            Spectrum([1.0, -0.5])
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ParameterError):
-            Spectrum([1.0, float("nan")])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ParameterError):
-            Spectrum([])
-
-    def test_read_only(self):
-        s = Spectrum([1.0, 2.0])
-        with pytest.raises(ValueError):
-            s.values[0] = 5.0
-
-
 class TestMatrixCsv:
     def test_round_trip_exact(self, rng):
         m = rng.standard_normal((5, 3)) * np.array([1e-200, 1.0, 1e200])
         again = matrix_from_csv_lines(matrix_to_csv_lines(m))
         assert np.array_equal(m, again)
-
-    def test_file_round_trip(self, tmp_path, rng):
-        m = rng.standard_normal((4, 6))
-        path = tmp_path / "m.csv"
-        save_matrix_csv(m, path)
-        assert np.array_equal(load_matrix_csv(path), m)
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ParseError):

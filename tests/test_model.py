@@ -179,7 +179,6 @@ class TestForward:
         model = ToyModel([LinearLayer(np.zeros((3, 4)), bias=np.zeros(3))],
                          "mse")
         assert model.input_dim == 4
-        assert model.output_dim == 3
         assert list(model.trainable_params()) == ["layer0.bias"]
         assert model.param_count() == 3
 

@@ -14,7 +14,6 @@ from rankflex.model import (
 from rankflex.tasks import (
     SyntheticTask,
     build_teacher,
-    make_task,
     sample_blobs,
     sample_regression,
 )
@@ -122,12 +121,6 @@ class TestBuildTeacher:
         for depth in (0, 2):
             assert np.array_equal(a.deltas[depth], b.deltas[depth])
 
-    def test_output_dim(self):
-        model = adapted_model()
-        teacher = build_teacher(model, teacher_task(), seeded_rng(48))
-        assert teacher.output_dim == 6
-
-
 class TestSampling:
     def test_regression_shapes_and_determinism(self):
         model = adapted_model()
@@ -182,17 +175,6 @@ class TestSampling:
         mean1 = data.inputs[:, data.targets == 1].mean(axis=1)
         gap = float(np.linalg.norm(mean1 - mean0))
         assert 4.5 < gap < 7.5
-
-    def test_make_task_dispatch(self):
-        model = adapted_model()
-        data = make_task(teacher_task(), seeded_rng(60), model=model)
-        assert data.teacher is not None
-        blob_task = SyntheticTask(kind="two_blobs", input_dim=4, sample_count=8)
-        data = make_task(blob_task, seeded_rng(61))
-        assert data.teacher is None
-        with pytest.raises(ParameterError):
-            make_task(teacher_task(), seeded_rng(62), model=None)
-
 
 class TestClosableGap:
     def test_matched_student_attains_zero_loss(self):

@@ -169,6 +169,29 @@ class TestReadErrors:
         with pytest.raises(TraceError, match="header missing 'schedule'"):
             read_trace(path)
 
+    @pytest.mark.parametrize("adapters", [
+        5,
+        [5],
+        [{"id": "enc", "r_max": 6, "depth": 0}],
+        [{"id": 3, "r_init": 3, "r_max": 6, "depth": 0}],
+        [{"id": "enc", "r_init": 3, "r_max": 6, "depth": "0"}],
+        [{"id": "enc", "r_init": True, "r_max": 6, "depth": 0}],
+    ])
+    def test_header_adapter_roster_shape(self, tmp_path, adapters):
+        h = make_header()
+        h["adapters"] = adapters
+        path = self.write_lines(tmp_path, [json.dumps(h)])
+        with pytest.raises(TraceError, match="line 1: header adapters"):
+            read_trace(path)
+
+    def test_unreadable_path(self, tmp_path):
+        with pytest.raises(TraceError, match="cannot read trace"):
+            read_trace(tmp_path)
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b"\xff\xfe\n")
+        with pytest.raises(TraceError, match="cannot read trace"):
+            read_trace(path)
+
     def test_header_bad_schedule(self, tmp_path):
         h = make_header(schedule={"b0": 0, "t_warmup": 0, "t_final": 0,
                                   "total_steps": 10, "delta_t": 1})

@@ -85,6 +85,12 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             make_config(layers=())
 
+    def test_task_input_dim_must_match_first_layer(self):
+        task = SyntheticTask(kind="low_rank_teacher", input_dim=8,
+                             sample_count=96, teacher_ranks=(5, 1))
+        with pytest.raises(ParameterError, match="task.input_dim 8 .* d_in 10"):
+            make_config(task=task)
+
     def test_optimizer_config_validates_on_construction(self):
         with pytest.raises(ParameterError):
             OptimizerConfig(lr=-1.0)
