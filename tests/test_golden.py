@@ -4,6 +4,8 @@
 sha256 digests are pinned for the criterion-8 config and for the desk and
 churn benchmark configs (``bench/workloads.make_config(w, 401, 0)``, copied
 here as literals so the test does not depend on the benchmark's code). A
+shortened wide config (the same 4x512 model and teacher, 12 steps and 4
+allocation events) covers the BLAS shapes the small configs never reach. A
 refactor that must not change behaviour proves it by leaving these alone.
 
 GEMM results depend on the BLAS build, so the pins are keyed by a host
@@ -71,13 +73,29 @@ CHURN = {
 }
 
 
+WIDE_SHORT = {
+    "name": "wide", "seed": 968208907,
+    "model": {"layers": _stack(4, 512, "w", 24, 96)},
+    "task": {"kind": "low_rank_teacher", "input_dim": 512, "sample_count": 2048,
+             "noise_std": 0.01, "teacher_ranks": [64, 4, 32, 2], "teacher_scale": 16.0},
+    "optimizer": {"lr": 0.02},
+    "schedule": {"b0": 2, "t_warmup": 2, "t_final": 2,
+                 "total_steps": 12, "delta_t": 5},
+    "metric": {"variant": "spectral_entropy"},
+    "init_strategy": {"variant": "zero_impact"},
+    "mode": "bidirectional",
+    "batch_size": 128,
+}
+
+
 def _criterion_8():
     from test_acceptance import _determinism_config
 
     return config_to_json(_determinism_config())
 
 
-CONFIGS = {"criterion8": _criterion_8, "desk": lambda: DESK, "churn": lambda: CHURN}
+CONFIGS = {"criterion8": _criterion_8, "desk": lambda: DESK, "churn": lambda: CHURN,
+           "wide_short": lambda: WIDE_SHORT}
 
 # fingerprint -> config -> (trace.jsonl, metrics.csv, checkpoint.txt) sha256.
 PINNED = {
@@ -96,6 +114,11 @@ PINNED = {
             "21b0c19d4fdf4968ccce6a3c4fafa38757da36d317b9e2490d51f9c9c85fdbb0",
             "b7ea8d717f42897e86112dad99a1d47486d3714c2e55dc435e8f55c4b169e488",
             "f9223da8f34af5ae65fee1fcbb46b6d688c03bb316754e1f81ad70f7cfc51545",
+        ),
+        "wide_short": (
+            "0a1c2aab52891873dd8092cf563c459bc645d298a017134ef6f06c7d80e9b972",
+            "d9d19d7b98d62b51c22200b4dbdd0440344d587c618b39f8b31df23a0ba6874b",
+            "f14dd44a0721fccd65e6b5441bd6352d2888da59566240401323a1299b9307a4",
         ),
     },
 }
