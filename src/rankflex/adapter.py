@@ -6,11 +6,12 @@ Q (r x d_in). The effective weight is
 
     W + (alpha / r_init) * P @ diag(lam) @ Q
 
-but the forward pass never materializes it: inputs flow through Q, the
-scaled singular values, then P. Ranks move one direction at a time — pruning
-removes the column with the smallest |lam|, expansion appends a fresh
-direction under one of four init schemes — so a run's capacity can be
-reshaped mid-training without touching the base weight.
+but neither ``forward`` nor ``backward`` (the factor and input gradients)
+materializes it: inputs flow through Q, the scaled singular values, then P.
+Ranks move one direction at a time — pruning removes the column with the
+smallest |lam|, expansion appends a fresh direction under one of four init
+schemes — so a run's capacity can be reshaped mid-training without touching
+the base weight.
 
 Directions whose lam entry is exactly zero are skipped by the forward pass.
 Besides saving work, this makes zero-impact expansion literally zero impact:
@@ -160,7 +161,7 @@ class SvdAdapter:
         """Materialized update (alpha/r_init) * P diag(lam) Q, for inspection."""
         return self.scale * (self.p @ (self.lam[:, None] * self.q))
 
-    # -- forward -----------------------------------------------------------
+    # -- forward and backward ----------------------------------------------
 
     def forward(self, x):
         """Apply base plus update to a batch of column vectors (d_in x batch).
@@ -180,6 +181,23 @@ class SvdAdapter:
         u = self.q[active] @ x
         u *= self.lam[active, None]
         return base + self.scale * (self.p[:, active] @ u)
+
+    def backward(self, x, g, gamma=0.0):
+        """((dP, dlam, dQ), dx) for the batch ``x`` given dL/dy ``g``, plus
+        ``gamma`` times the orthogonality gradient in dP and dQ. Zero-lam
+        directions take part, so a fresh direction gets a lam gradient."""
+        u = self.q @ x
+        c = self.scale
+        h = self.p.T @ g
+        dlam = c * np.einsum("rb,rb->r", h, u)
+        dp = c * (g @ (self.lam[:, None] * u).T)
+        dq = c * ((self.lam[:, None] * h) @ x.T)
+        if gamma > 0.0:
+            rp, rq = self.ortho_regularizer_grad()
+            dp += gamma * rp
+            dq += gamma * rq
+        dx = self.base_w.T @ g + c * (self.q.T @ (self.lam[:, None] * h))
+        return (dp, dlam, dq), dx
 
     # -- orthogonality regularizer ----------------------------------------
 

@@ -10,9 +10,9 @@ model bit for bit and forward passes match exactly.
 from __future__ import annotations
 
 from .adapter import SvdAdapter
-from .errors import ParseError
+from .errors import ParseError, read_text
 from .linalg import matrix_from_csv_lines, matrix_to_csv_lines
-from .model import ActivationLayer, LinearLayer, ToyModel
+from .model import LOSS_KINDS, ActivationLayer, LinearLayer, ToyModel
 
 __all__ = [
     "adapter_record_lines",
@@ -129,7 +129,18 @@ def _parse_adapter(reader, base_w):
 
 
 def parse_checkpoint_lines(lines):
+    """Rebuild a ToyModel; any malformed content raises ParseError naming the
+    last line read (for a check across layers, the checkpoint's last line)."""
     reader = _Reader([ln for ln in lines if ln.strip()])
+    try:
+        return _parse_model(reader)
+    except ParseError:
+        raise
+    except ValueError as exc:  # int()/dict() on bad text, or a model type's own check
+        raise ParseError(f"line {reader.pos}: {exc}") from None
+
+
+def _parse_model(reader):
     head = reader.next().split()
     if len(head) != 2 or head[0] != FORMAT_NAME:
         raise ParseError("line 1: not a checkpoint file")
@@ -139,6 +150,8 @@ def parse_checkpoint_lines(lines):
     if len(loss_line) != 2 or loss_line[0] != "loss":
         raise ParseError(f"line {reader.pos}: expected loss line")
     loss = loss_line[1]
+    if loss not in LOSS_KINDS:
+        raise ParseError(f"line {reader.pos}: unknown loss {loss!r}")
     count_line = reader.next().split()
     if len(count_line) != 2 or count_line[0] != "layers":
         raise ParseError(f"line {reader.pos}: expected layer count")
@@ -185,5 +198,4 @@ def save_checkpoint(model, path):
 
 
 def load_checkpoint(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_checkpoint_lines(fh.read().splitlines())
+    return parse_checkpoint_lines(read_text(path, ParseError, "checkpoint file").splitlines())

@@ -32,8 +32,10 @@ from .errors import (
     ParseError,
     RankflexError,
     TraceError,
+    read_text,
 )
 from .importance import EPSILON_DEFAULT, SPECTRUM_METRICS, spectrum_flag
+from .linalg import matrix_from_csv_lines
 from .trace import heatmap_csv_lines, read_trace, trace_lines, verify_trace
 from .training import metrics_csv_lines, run_training
 
@@ -115,7 +117,10 @@ def cmd_train(args):
         raw["seed"] = args.seed
     config = parse_config(raw)
     outdir = Path(config.output_dir) if config.output_dir else Path("runs") / config.name
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir {outdir}: cannot make it: {exc.strerror}") from None
     with _OutputLock(outdir):
         try:
             result = run_training(config)
@@ -133,24 +138,13 @@ def cmd_train(args):
 
 
 def _load_spectrum_csv(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
-    except FileNotFoundError:
-        raise ParseError(f"spectrum file not found: {path}") from None
+    text = read_text(path, ParseError, "spectrum file")
+    rows = [ln for ln in text.splitlines() if ln.strip()]
     if not rows:
         raise ParseError("empty spectrum file")
     if len(rows) != 1:
         raise ParseError(f"expected a single-row CSV, got {len(rows)} rows")
-    cells = rows[0].split(",")
-    try:
-        values = [float(c) for c in cells]
-    except ValueError as exc:
-        raise ParseError(f"non-numeric cell: {exc}") from None
-    for v in values:
-        if v != v or v in (float("inf"), float("-inf")):
-            raise ParseError("spectrum entries must be finite")
-    return values
+    return matrix_from_csv_lines(rows)[0].tolist()
 
 
 def cmd_importance(args):

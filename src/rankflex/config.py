@@ -29,7 +29,7 @@ import typing
 
 from .adapter import INIT_VARIANTS, InitStrategy
 from .allocator import ALLOCATOR_MODES
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, read_text
 from .importance import METRIC_VARIANTS, MetricKind
 from .model import ACTIVATION_KINDS, LOSS_KINDS, AdapterSpec, LayerSpec
 from .tasks import TASK_KINDS, SyntheticTask
@@ -190,7 +190,10 @@ def apply_overrides(obj, overrides):
     containers must already exist so typos cannot invent new sections.
     List elements are addressed numerically ("model.layers.0.d_in=8").
     """
-    result = copy.deepcopy(obj)
+    try:
+        result = copy.deepcopy(obj)
+    except RecursionError:
+        raise ConfigError("config: nested too deeply to apply overrides") from None
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r}: expected KEY=VALUE")
@@ -230,10 +233,10 @@ def apply_overrides(obj, overrides):
 
 
 def load_config_file(path):
+    text = read_text(path, ConfigError, "config file")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply") from None

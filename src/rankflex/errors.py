@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the reader that maps a
+user-named file's I/O failures onto them."""
 
 
 class RankflexError(Exception):
@@ -59,3 +60,18 @@ class DivergenceError(RankflexError, RuntimeError):
     def __init__(self, message, result=None):
         super().__init__(message)
         self.result = result
+
+
+def read_text(path, error, what):
+    """Contents of the UTF-8 file ``path`` that a user named.
+
+    A missing file, a directory, any other OSError and bytes that are not
+    UTF-8 all raise ``error`` with a message naming ``what`` and the path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None

@@ -5,10 +5,10 @@ bias, optional adapter) and elementwise activations, closed by MSE or
 softmax cross-entropy. Batches are column-major: an input is d_in x batch
 and every example occupies one column.
 
-Gradients are computed by hand in reverse order from caches recorded during
-the forward pass; there is no autograd anywhere. Trainable parameters travel
-as name-keyed dicts ("<adapter_id>.p" / ".lam" / ".q", "layer<i>.bias") so
-the optimizer can track rank surgery slice by slice.
+Gradients are computed by hand in reverse order, each adapter's by
+``SvdAdapter.backward``; an adapted layer shares its adapter's read-only base.
+Parameters travel as name-keyed dicts ("<adapter_id>.p" / ".lam" / ".q",
+"layer<i>.bias") so the optimizer can track rank surgery slice by slice.
 """
 
 from __future__ import annotations
@@ -78,13 +78,17 @@ class LinearLayer:
         base = np.array(base_w, dtype=np.float64)
         if base.ndim != 2:
             raise ShapeError("base weight must be 2-D")
+        if adapter is not None:
+            if adapter.base_w.shape != base.shape:
+                raise ShapeError("adapter base shape differs from layer shape")
+            if not np.array_equal(adapter.base_w, base):
+                raise ParameterError(f"base weight differs from adapter {adapter.id!r}'s base")
+            base = adapter.base_w
         base.flags.writeable = False
         self.base_w = base
         self.bias = None if bias is None else np.array(bias, dtype=np.float64).reshape(-1)
         if self.bias is not None and self.bias.size != base.shape[0]:
             raise ShapeError(f"bias length {self.bias.size} != d_out {base.shape[0]}")
-        if adapter is not None and adapter.base_w.shape != base.shape:
-            raise ShapeError("adapter base shape differs from layer shape")
         self.adapter = adapter
 
     @property
@@ -217,11 +221,7 @@ class ToyModel:
             if isinstance(layer, LinearLayer):
                 if h.shape[0] != layer.d_in:
                     raise ShapeError(f"input rows {h.shape[0]} != layer d_in {layer.d_in}")
-                a = layer.adapter
-                # Full Q @ h is cached for the lambda gradient; the output
-                # itself comes from the masked adapter forward.
-                u = a.q @ h if a is not None else None
-                caches.append({"input": h, "u": u, "rank": a.rank if a is not None else 0})
+                caches.append({"input": h, "rank": getattr(layer.adapter, "rank", 0)})
                 h = layer.forward(h)
             else:
                 out = layer.forward(h)
@@ -266,20 +266,8 @@ class ToyModel:
                 continue
             if cache["rank"] != a.rank:
                 raise StalenessError(f"adapter {a.id!r} rank changed since forward")
-            u = cache["u"]
-            c = a.scale
-            h = a.p.T @ g
-            dlam = c * np.einsum("rb,rb->r", h, u)
-            dp = c * (g @ (a.lam[:, None] * u).T)
-            dq = c * ((a.lam[:, None] * h) @ x.T)
-            if gamma > 0.0:
-                rp, rq = a.ortho_regularizer_grad()
-                dp += gamma * rp
-                dq += gamma * rq
-            grads[f"{a.id}.p"] = dp
-            grads[f"{a.id}.lam"] = dlam
-            grads[f"{a.id}.q"] = dq
-            g = a.base_w.T @ g + c * (a.q.T @ (a.lam[:, None] * h))
+            (dp, dlam, dq), g = a.backward(x, g, gamma)
+            grads.update({f"{a.id}.p": dp, f"{a.id}.lam": dlam, f"{a.id}.q": dq})
         return grads
 
     def objective(self, x, targets, gamma=0.0):

@@ -17,7 +17,7 @@ import json
 from dataclasses import fields
 
 from .allocator import ALLOCATOR_MODES, BudgetSchedule
-from .errors import TraceError
+from .errors import TraceError, read_text
 from .events import AllocationEvent
 
 __all__ = [
@@ -64,13 +64,7 @@ def read_trace(path):
 
     Structural problems raise TraceError naming the offending line (1-based).
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read().splitlines()
-    except FileNotFoundError:
-        raise TraceError(f"trace file not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise TraceError(f"cannot read trace {path}: {exc}") from None
+    raw = read_text(path, TraceError, "trace file").splitlines()
     lines = [(i + 1, ln) for i, ln in enumerate(raw) if ln.strip()]
     if not lines:
         raise TraceError("line 1: empty trace")

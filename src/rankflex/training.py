@@ -23,7 +23,7 @@ from .adapter import InitStrategy
 from .errors import DivergenceError, ParameterError
 from .importance import MetricKind, SensitivityState, score_all, sensitivity_update
 from .linalg import split_rng
-from .model import LOSS_KINDS, LayerSpec, ToyModel, build_model
+from .model import LayerSpec, ToyModel, build_model
 from .optim import AdamW
 from .tasks import SyntheticTask, build_teacher, sample_blobs, sample_regression
 
@@ -84,8 +84,6 @@ class TrainConfig:
             raise ParameterError("name must be non-empty")
         if self.seed < 0:
             raise ParameterError("seed must be >= 0")
-        if self.loss not in LOSS_KINDS:
-            raise ParameterError(f"unknown loss {self.loss!r}")
         if self.mode not in ALLOCATOR_MODES:
             raise ParameterError(f"unknown allocator mode {self.mode!r}")
         if not self.regularizer_weight >= 0.0:
@@ -94,12 +92,24 @@ class TrainConfig:
             raise ParameterError("batch_size must be >= 1")
         if self.log_every < 1:
             raise ParameterError("log_every must be >= 1")
-        if not self.layers:
-            raise ParameterError("layers must be non-empty")
-        d_in = next((spec.d_in for spec in self.layers if spec.kind == "linear"), None)
-        if d_in is not None and self.task.input_dim != d_in:
+        linear = [(i, spec) for i, spec in enumerate(self.layers) if spec.kind == "linear"]
+        if not linear:
+            raise ParameterError("layers need at least one linear layer")
+        d_in = linear[0][1].d_in
+        if self.task.input_dim != d_in:
             raise ParameterError(
                 f"task.input_dim {self.task.input_dim} != the first linear layer's d_in {d_in}")
+        for (i, a), (j, b) in zip(linear, linear[1:]):
+            if b.d_in != a.d_out:
+                raise ParameterError(f"layers[{j}].d_in {b.d_in} != layers[{i}].d_out {a.d_out}")
+        # Regression targets are teacher outputs; blob targets are class labels.
+        loss = "mse" if self.task.kind == "low_rank_teacher" else "softmax_ce"
+        if self.loss != loss:
+            raise ParameterError(
+                f"task.kind {self.task.kind!r} needs loss {loss!r}, got {self.loss!r}")
+        if self.task.kind == "two_blobs" and linear[-1][1].d_out < 2:
+            raise ParameterError(
+                f"layers[{linear[-1][0]}].d_out must be >= 2 for two_blobs' two classes")
         if self.init_strategy.variant in ("small_init", "orthogonal_init"):
             # These variants expand along directions orthogonal to the
             # existing factors, and a d-dimensional space holds only d.

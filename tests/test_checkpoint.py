@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,11 @@ class TestRoundTrip:
         assert (ad.id, ad.r_init, ad.r_max, ad.alpha) == \
             (bd.id, bd.r_init, bd.r_max, bd.alpha)
         assert np.array_equal(ad.base_w, bd.base_w)
+
+    def test_loaded_layers_share_adapter_base(self):
+        loaded = parse_checkpoint_lines(checkpoint_lines(sample_model()))
+        layer = loaded.layers[0]
+        assert layer.base_w is layer.adapter.base_w
 
     def test_survives_awkward_floats(self, tmp_path, rng):
         model = sample_model()
@@ -165,6 +172,29 @@ class TestParseErrors:
                 break
         with pytest.raises(ParseError, match="expected header for layer 1"):
             parse_checkpoint_lines(lines)
+
+    @pytest.mark.parametrize("old, new", [
+        ("rankflex-checkpoint 1", "rankflex-checkpoint x"),
+        ("layers 3", "layers x"),
+        (" bias=yes ", " bias "),
+        ("r_max 4", "r_max 1"),
+        ("loss mse", "loss hinge"),
+    ], ids=["version", "layer-count", "field-without-equals", "r_max-below-rank",
+            "loss"])
+    def test_every_malformed_value_is_a_parse_error(self, old, new):
+        text = "\n".join(self.lines())
+        assert old in text
+        with pytest.raises(ParseError) as info:
+            parse_checkpoint_lines(text.replace(old, new, 1).split("\n"))
+        assert re.fullmatch(r"line \d+: (?!line ).*", str(info.value))
+
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(ParseError, match="cannot read checkpoint file"):
+            load_checkpoint(tmp_path)
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(ParseError, match="cannot read checkpoint file"):
+            load_checkpoint(path)
 
     def test_malformed_adapter_header(self):
         lines = self.lines()

@@ -3,8 +3,12 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rankflex.allocator import BudgetSchedule
 from rankflex.checkpoint import load_checkpoint
@@ -225,6 +229,44 @@ class TestTrain:
         assert main(["train", write_config(tmp_path, raw)]) == 2
         assert "task.input_dim" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, overrides, message", [
+        (None, [], "cannot read config file"),
+        (b"\xff\xfe", [], "cannot read config file"),
+        (b"[" * 100_000 + b"]" * 100_000, [], "nested too deeply"),
+        (b'{"a": ' + b"[" * 900 + b"]" * 900 + b"}", ["name=x"], "nested too deeply"),
+    ], ids=["directory", "not-utf8", "deep-nesting", "deep-nesting-with-override"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content, overrides, message):
+        path = tmp_path / "config.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert main(["train", str(path), *overrides]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["afile", "afile/sub"])
+    def test_output_dir_under_a_file_exits_2(self, tmp_path, capsys, target):
+        (tmp_path / "afile").write_text("")
+        cfg = write_config(tmp_path)
+        assert main(["train", cfg, f"output_dir={tmp_path / target}"]) == 2
+        assert "output_dir" in capsys.readouterr().err
+        assert (tmp_path / "afile").read_text() == ""
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"model.layers.2.d_in": 5}, "layers[2].d_in 5 != layers[0].d_out 6"),
+        ({"model.loss": "softmax_ce"}, "task.kind 'low_rank_teacher' needs loss 'mse'"),
+        ({"task.kind": "two_blobs"}, "task.kind 'two_blobs' needs loss 'softmax_ce'"),
+        ({"task.kind": "two_blobs", "model.loss": "softmax_ce",
+          "model.layers.2.d_out": 1}, "layers[2].d_out must be >= 2"),
+    ], ids=["chain", "teacher-ce", "blobs-mse", "blobs-one-class"])
+    def test_cross_field_errors_exit_2_before_output_dir(
+            self, tmp_path, monkeypatch, capsys, edit, message):
+        monkeypatch.chdir(tmp_path)
+        overrides = [f"{k}={json.dumps(v)}" for k, v in edit.items()]
+        assert main(["train", write_config(tmp_path), *overrides]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
 
 class TestImportance:
     def write_spectrum(self, tmp_path, text):
@@ -286,6 +328,14 @@ class TestImportance:
         good = self.write_spectrum(tmp_path, "1,2\n")
         assert main(["importance", good, "--epsilon", "-1"]) == 2
         capsys.readouterr()
+
+    def test_unreadable_spectrum_exits_2(self, tmp_path, capsys):
+        assert main(["importance", str(tmp_path)]) == 2
+        assert "cannot read spectrum file" in capsys.readouterr().err
+        path = tmp_path / "spec.csv"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["importance", str(path)]) == 2
+        assert "cannot read spectrum file" in capsys.readouterr().err
 
 
 class TestSchedule:
@@ -415,4 +465,27 @@ class TestParser:
         with pytest.raises(SystemExit) as exc_info:
             main(["polish"])
         assert exc_info.value.code == 2
+        capsys.readouterr()
+
+
+class TestFuzz:
+    """Whatever bytes a user-named file holds, ``main`` returns a documented
+    exit code. Only raw bytes are generated, never structured configs, so no
+    model is ever built from fuzzed sizes."""
+
+    @settings(max_examples=600, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(["train", "importance", "replay-verify",
+                                    "export-heatmap"]),
+           target=st.one_of(st.binary(max_size=64), st.sampled_from(["dir", "missing"])))
+    def test_file_arguments_never_escape(self, tmp_path, monkeypatch, capsys,
+                                         command, target):
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(work / "out"))
+        path = work / "input"
+        if target == "dir":
+            path.mkdir()
+        elif target != "missing":
+            path.write_bytes(target)
+        assert main([command, str(path)]) in (0, 1, 2, 3)
         capsys.readouterr()

@@ -95,6 +95,22 @@ class TestSpecsAndConstruction:
         with pytest.raises(ShapeError):
             LinearLayer(base, adapter=a)
 
+    def test_adapted_layer_shares_adapter_base(self, rng):
+        base = rng.standard_normal((3, 2))
+        a = SvdAdapter.create("a", base, r_init=1, r_max=2, alpha=1.0, rng=rng)
+        assert LinearLayer(base.copy(), adapter=a).base_w is a.base_w
+        model = build_model(two_layer_specs(), "mse", seeded_rng(8))
+        for layer in (model.layers[0], model.layers[2]):
+            assert layer.base_w is layer.adapter.base_w
+
+    def test_adapter_base_values_checked(self, rng):
+        base = rng.standard_normal((3, 2))
+        a = SvdAdapter.create("a", base, r_init=1, r_max=2, alpha=1.0, rng=rng)
+        other = base.copy()
+        other[1, 1] = np.nextafter(other[1, 1], np.inf)
+        with pytest.raises(ParameterError, match="differs from adapter 'a'"):
+            LinearLayer(other, adapter=a)
+
 
 class TestLosses:
     def test_mse_hand_case(self):
@@ -147,6 +163,11 @@ class TestForward:
         y, caches = model.forward(x)
         assert np.array_equal(y, w @ x)
         assert len(caches) == 1 and caches[0]["rank"] == 0
+
+    def test_caches_hold_only_inputs_and_ranks(self, rng):
+        model = build_model(two_layer_specs(), "mse", seeded_rng(4))
+        _, caches = model.forward(rng.standard_normal((5, 3)))
+        assert [sorted(c) for c in caches[::2]] == [["input", "rank"]] * 2
 
     def test_fresh_adapters_match_plain_stack_bitwise(self, rng):
         model = build_model(two_layer_specs(adapted=True), "mse", seeded_rng(5))
