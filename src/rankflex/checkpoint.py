@@ -2,12 +2,20 @@
 
 The format is line-oriented: a version line, the loss kind, the layer count,
 then one block per layer. Linear blocks carry the base weight, optional bias,
-and optional adapter record (id, dims, ranks, alpha, then P / lambda / Q as
-CSV). Every float is written with ``repr``, so loading reproduces the saved
-model bit for bit and forward passes match exactly.
+and optional adapter record (id, dims, ranks, alpha, then P / lambda / Q).
+Header and marker lines are text. The writer emits version 2, where each row
+of a 2-D matrix (base, P, Q) is one line of base64 over the row's
+little-endian float64 bytes, and the vectors bias and lambda are CSV lines
+with every float written by ``repr``. Version 1, which wrote the matrices as
+``repr`` CSV too, still loads. Either way loading reproduces the saved model
+bit for bit, so forward passes match exactly.
 """
 
 from __future__ import annotations
+
+import binascii
+
+import numpy as np
 
 from .adapter import SvdAdapter
 from .errors import ParseError, read_text
@@ -23,7 +31,15 @@ __all__ = [
 ]
 
 FORMAT_NAME = "rankflex-checkpoint"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READABLE_VERSIONS = ("1", "2")
+_ROW_DTYPE = np.dtype("<f8")
+
+
+def _matrix_lines(m):
+    """One base64 line per row of ``m``, over its little-endian float64 bytes."""
+    m = np.ascontiguousarray(m, dtype=_ROW_DTYPE)
+    return [binascii.b2a_base64(row.tobytes(), newline=False).decode("ascii") for row in m]
 
 
 def adapter_record_lines(adapter):
@@ -37,11 +53,11 @@ def adapter_record_lines(adapter):
         f"alpha {repr(adapter.alpha)}",
         "P",
     ]
-    lines += matrix_to_csv_lines(adapter.p)
+    lines += _matrix_lines(adapter.p)
     lines.append("lambda")
     lines += matrix_to_csv_lines(adapter.lam[None, :])
     lines.append("Q")
-    lines += matrix_to_csv_lines(adapter.q)
+    lines += _matrix_lines(adapter.q)
     return lines
 
 
@@ -62,7 +78,7 @@ def checkpoint_lines(model):
             f"bias={has_bias} adapter={has_adapter}"
         )
         lines.append("base")
-        lines += matrix_to_csv_lines(layer.base_w)
+        lines += _matrix_lines(layer.base_w)
         if layer.bias is not None:
             lines.append("bias")
             lines += matrix_to_csv_lines(layer.bias[None, :])
@@ -72,101 +88,155 @@ def checkpoint_lines(model):
 
 
 class _Reader:
+    """Walks the non-blank lines; error messages carry source line numbers."""
+
     def __init__(self, lines):
-        self.lines = lines
+        kept = [(n, ln.rstrip("\n")) for n, ln in enumerate(lines, 1) if ln.strip()]
+        self.numbers = [n for n, _ in kept]
+        self.lines = [ln for _, ln in kept]
         self.pos = 0
+        self.version = FORMAT_VERSION
+
+    def number(self, pos):
+        """Source line number of kept line ``pos``; one past the end beyond it."""
+        if pos < len(self.numbers):
+            return self.numbers[pos]
+        return (self.numbers[-1] if self.numbers else 0) + 1
+
+    @property
+    def last(self):
+        """Source line number of the last line read."""
+        return self.number(self.pos - 1)
 
     def next(self, expect=None):
         if self.pos >= len(self.lines):
-            raise ParseError(f"line {self.pos + 1}: unexpected end of checkpoint")
-        line = self.lines[self.pos].rstrip("\n")
+            raise ParseError(f"line {self.number(self.pos)}: unexpected end of checkpoint")
+        line = self.lines[self.pos]
         self.pos += 1
         if expect is not None and line != expect:
-            raise ParseError(f"line {self.pos}: expected {expect!r}, got {line!r}")
+            raise ParseError(f"line {self.last}: expected {expect!r}, got {line!r}")
         return line
 
-    def matrix(self, rows):
-        start = self.pos
+    def _take(self, rows, cols, what):
+        if rows < 1 or cols < 1:
+            raise ParseError(f"line {self.last}: {what} shape ({rows}, {cols}) is not positive")
         if self.pos + rows > len(self.lines):
-            raise ParseError(f"line {start + 1}: matrix truncated")
-        block = self.lines[self.pos : self.pos + rows]
+            raise ParseError(f"line {self.number(self.pos)}: {what} truncated")
         self.pos += rows
+        return self.lines[self.pos - rows : self.pos]
+
+    def _csv(self, rows, cols, what):
+        start = self.number(self.pos)
+        block = self._take(rows, cols, what)
         try:
-            return matrix_from_csv_lines(block)
+            m = matrix_from_csv_lines(block)
         except ParseError as exc:
-            raise ParseError(f"line {start + 1}: {exc}") from None
+            raise ParseError(f"line {start}: {exc}") from None
+        if m.shape != (rows, cols):
+            raise ParseError(f"line {start}: {what} shape {m.shape} != ({rows}, {cols})")
+        return m
+
+    def vector(self, size, what):
+        """One CSV line of ``size`` values."""
+        return self._csv(1, size, what)[0]
+
+    def matrix(self, rows, cols, what):
+        """The next ``rows`` lines as a rows-by-cols matrix, in the file's version."""
+        if self.version == 1:
+            return self._csv(rows, cols, what)
+        start = self.pos
+        buf = bytearray()
+        for i, line in enumerate(self._take(rows, cols, what)):
+            try:
+                data = binascii.a2b_base64(line, strict_mode=True)
+            except ValueError as exc:  # binascii.Error, or a non-ASCII str
+                raise ParseError(
+                    f"line {self.number(start + i)}: {what} row is not base64 ({exc})"
+                ) from None
+            if len(data) != 8 * cols:
+                raise ParseError(
+                    f"line {self.number(start + i)}: {what} shape ({rows}, {cols}): "
+                    f"row decodes to {len(data)} bytes, not {8 * cols}"
+                )
+            buf += data
+        m = np.frombuffer(buf, dtype=_ROW_DTYPE).reshape(rows, cols).astype(np.float64, copy=False)
+        finite = np.isfinite(m).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ParseError(f"line {self.number(start + row)}: {what} row has non-finite values")
+        return m
 
 
 def _parse_adapter(reader, base_w):
     head = reader.next()
     if not head.startswith("adapter "):
-        raise ParseError(f"line {reader.pos}: expected adapter block, got {head!r}")
+        raise ParseError(f"line {reader.last}: expected adapter block, got {head!r}")
     adapter_id = head.split(" ", 1)[1]
     try:
         _, d_out_s, d_in_s = reader.next().split()
         d_out, d_in = int(d_out_s), int(d_in_s)
+        if (d_out, d_in) != base_w.shape:
+            raise ParseError(
+                f"line {reader.last}: adapter {adapter_id!r} dims {d_out}x{d_in} != layer shape"
+            )
         rank = int(reader.next().split()[1])
         r_init = int(reader.next().split()[1])
         r_max = int(reader.next().split()[1])
         alpha = float(reader.next().split()[1])
+    except ParseError:
+        raise
     except (ValueError, IndexError):
-        raise ParseError(f"line {reader.pos}: malformed adapter header") from None
-    if (d_out, d_in) != base_w.shape:
-        raise ParseError(f"adapter {adapter_id!r} dims {d_out}x{d_in} != layer shape")
+        raise ParseError(f"line {reader.last}: malformed adapter header") from None
     reader.next("P")
-    p = reader.matrix(d_out)
-    if p.shape != (d_out, rank):
-        raise ParseError(f"adapter {adapter_id!r}: P shape {p.shape} != ({d_out}, {rank})")
+    p = reader.matrix(d_out, rank, "P")
     reader.next("lambda")
-    lam = reader.matrix(1)[0]
-    if lam.size != rank:
-        raise ParseError(f"adapter {adapter_id!r}: lambda length {lam.size} != rank {rank}")
+    lam = reader.vector(rank, "lambda")
     reader.next("Q")
-    q = reader.matrix(rank)
-    if q.shape != (rank, d_in):
-        raise ParseError(f"adapter {adapter_id!r}: Q shape {q.shape} != ({rank}, {d_in})")
+    q = reader.matrix(rank, d_in, "Q")
     return SvdAdapter(adapter_id, base_w, p, lam, q, r_init=r_init, r_max=r_max, alpha=alpha)
 
 
 def parse_checkpoint_lines(lines):
-    """Rebuild a ToyModel; any malformed content raises ParseError naming the
-    last line read (for a check across layers, the checkpoint's last line)."""
-    reader = _Reader([ln for ln in lines if ln.strip()])
+    """Rebuild a ToyModel from a version 1 or 2 checkpoint; any malformed
+    content raises ParseError naming its line (for a model type's own check,
+    the last line read)."""
+    reader = _Reader(lines)
     try:
         return _parse_model(reader)
     except ParseError:
         raise
     except ValueError as exc:  # int()/dict() on bad text, or a model type's own check
-        raise ParseError(f"line {reader.pos}: {exc}") from None
+        raise ParseError(f"line {reader.last}: {exc}") from None
 
 
 def _parse_model(reader):
     head = reader.next().split()
     if len(head) != 2 or head[0] != FORMAT_NAME:
-        raise ParseError("line 1: not a checkpoint file")
-    if int(head[1]) != FORMAT_VERSION:
-        raise ParseError(f"line 1: unsupported version {head[1]}")
+        raise ParseError(f"line {reader.last}: not a checkpoint file")
+    if head[1] not in READABLE_VERSIONS:
+        raise ParseError(f"line {reader.last}: unsupported version {head[1]}")
+    reader.version = int(head[1])
     loss_line = reader.next().split()
     if len(loss_line) != 2 or loss_line[0] != "loss":
-        raise ParseError(f"line {reader.pos}: expected loss line")
+        raise ParseError(f"line {reader.last}: expected loss line")
     loss = loss_line[1]
     if loss not in LOSS_KINDS:
-        raise ParseError(f"line {reader.pos}: unknown loss {loss!r}")
+        raise ParseError(f"line {reader.last}: unknown loss {loss!r}")
     count_line = reader.next().split()
     if len(count_line) != 2 or count_line[0] != "layers":
-        raise ParseError(f"line {reader.pos}: expected layer count")
+        raise ParseError(f"line {reader.last}: expected layer count")
     n_layers = int(count_line[1])
     layers = []
     for i in range(n_layers):
         parts = reader.next().split()
         if len(parts) < 3 or parts[0] != "layer" or int(parts[1]) != i:
-            raise ParseError(f"line {reader.pos}: expected header for layer {i}")
+            raise ParseError(f"line {reader.last}: expected header for layer {i}")
         kind = parts[2]
         if kind in ("tanh", "relu"):
             layers.append(ActivationLayer(kind))
             continue
         if kind != "linear":
-            raise ParseError(f"line {reader.pos}: unknown layer kind {kind!r}")
+            raise ParseError(f"line {reader.last}: unknown layer kind {kind!r}")
         fields = dict(p.split("=", 1) for p in parts[3:])
         try:
             d_in = int(fields["in"])
@@ -174,21 +244,17 @@ def _parse_model(reader):
             has_bias = fields["bias"] == "yes"
             has_adapter = fields["adapter"] == "yes"
         except KeyError as exc:
-            raise ParseError(f"line {reader.pos}: layer header missing {exc}") from None
+            raise ParseError(f"line {reader.last}: layer header missing {exc}") from None
         reader.next("base")
-        base = reader.matrix(d_out)
-        if base.shape != (d_out, d_in):
-            raise ParseError(f"layer {i}: base shape {base.shape} != ({d_out}, {d_in})")
+        base = reader.matrix(d_out, d_in, "base")
         bias = None
         if has_bias:
             reader.next("bias")
-            bias = reader.matrix(1)[0]
-            if bias.size != d_out:
-                raise ParseError(f"layer {i}: bias length {bias.size} != {d_out}")
+            bias = reader.vector(d_out, "bias")
         adapter = _parse_adapter(reader, base) if has_adapter else None
         layers.append(LinearLayer(base, bias=bias, adapter=adapter))
     if reader.pos != len(reader.lines):
-        raise ParseError(f"line {reader.pos + 1}: trailing content after last layer")
+        raise ParseError(f"line {reader.number(reader.pos)}: trailing content after last layer")
     return ToyModel(layers, loss)
 
 

@@ -1,7 +1,11 @@
+import binascii
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankflex.adapter import InitStrategy
 from rankflex.checkpoint import (
@@ -13,7 +17,15 @@ from rankflex.checkpoint import (
 )
 from rankflex.errors import ParseError
 from rankflex.linalg import seeded_rng
-from rankflex.model import AdapterSpec, LayerSpec, build_model
+from rankflex.model import AdapterSpec, LayerSpec, ToyModel, build_model
+
+# sample_model()'s checkpoint as the version-1 writer produced it.
+V1_FIXTURE = Path(__file__).resolve().parent / "data" / "checkpoint_v1.txt"
+LINE_ERROR = re.compile(r"line \d+: (?!line ).*")
+
+
+def v1_lines():
+    return V1_FIXTURE.read_text(encoding="utf-8").splitlines()
 
 
 def sample_model(seed=70, bias=True):
@@ -174,19 +186,23 @@ class TestParseErrors:
             parse_checkpoint_lines(lines)
 
     @pytest.mark.parametrize("old, new", [
-        ("rankflex-checkpoint 1", "rankflex-checkpoint x"),
+        ("rankflex-checkpoint 2", "rankflex-checkpoint x"),
         ("layers 3", "layers x"),
         (" bias=yes ", " bias "),
         ("r_max 4", "r_max 1"),
         ("loss mse", "loss hinge"),
+        ("in=6", "in=7"),
+        ("in=6", "in=-1"),
+        ("dims 5 6", "dims 5 7"),
+        ("bias\n0.0,0.0,0.0", "bias\n0.0,0.0"),
     ], ids=["version", "layer-count", "field-without-equals", "r_max-below-rank",
-            "loss"])
+            "loss", "base-cols", "base-cols-negative", "adapter-dims", "bias-length"])
     def test_every_malformed_value_is_a_parse_error(self, old, new):
         text = "\n".join(self.lines())
         assert old in text
         with pytest.raises(ParseError) as info:
             parse_checkpoint_lines(text.replace(old, new, 1).split("\n"))
-        assert re.fullmatch(r"line \d+: (?!line ).*", str(info.value))
+        assert LINE_ERROR.fullmatch(str(info.value))
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read checkpoint file"):
@@ -204,3 +220,162 @@ class TestParseErrors:
                 break
         with pytest.raises(ParseError, match="malformed adapter header"):
             parse_checkpoint_lines(lines)
+
+
+class TestVersion1:
+    def test_fixture_is_version_1(self):
+        assert v1_lines()[0] == "rankflex-checkpoint 1"
+        assert checkpoint_lines(sample_model())[0] == "rankflex-checkpoint 2"
+
+    def test_fixture_loads_bitwise_equal(self, rng):
+        model = sample_model()
+        from_v1 = load_checkpoint(V1_FIXTURE)
+        from_v2 = parse_checkpoint_lines(checkpoint_lines(model))
+        for loaded in (from_v1, from_v2):
+            assert_models_identical(model, loaded, rng)
+            for name, value in model.trainable_params().items():
+                assert np.array_equal(value.view(np.uint64),
+                                      loaded.trainable_params()[name].view(np.uint64)), name
+            for la, lb in zip(model.layers, loaded.layers):
+                if hasattr(la, "base_w"):
+                    assert np.array_equal(la.base_w.view(np.uint64), lb.base_w.view(np.uint64))
+                    assert np.array_equal(la.bias.view(np.uint64), lb.bias.view(np.uint64))
+        assert checkpoint_lines(from_v1) == checkpoint_lines(model)
+
+    def test_version_3_is_unsupported(self):
+        lines = checkpoint_lines(sample_model())
+        lines[0] = "rankflex-checkpoint 3"
+        with pytest.raises(ParseError, match="^line 1: unsupported version 3$"):
+            parse_checkpoint_lines(lines)
+
+    @pytest.mark.parametrize("old, new, what", [
+        ("dims 5 6", "dims 5 7", "dims"),
+        ("rank 2", "rank 1", "P shape"),
+        ("in=6", "in=7", "base shape"),
+    ])
+    def test_cross_checks_name_their_line(self, old, new, what):
+        text = "\n".join(v1_lines())
+        assert old in text
+        with pytest.raises(ParseError, match=rf"^line \d+: .*{what}"):
+            parse_checkpoint_lines(text.replace(old, new, 1).split("\n"))
+
+    def test_lambda_and_q_shapes_name_their_line(self):
+        lines = v1_lines()
+        at = lines.index("lambda") + 1
+        edited = lines.copy()
+        edited[at] = edited[at].rsplit(",", 1)[0]
+        with pytest.raises(ParseError, match=rf"^line {at + 1}: lambda shape"):
+            parse_checkpoint_lines(edited)
+        at = lines.index("Q") + 1
+        edited = lines.copy()
+        for i in (at, at + 1):
+            edited[i] = edited[i].rsplit(",", 1)[0]
+        with pytest.raises(ParseError, match=rf"^line {at + 1}: Q shape \(2, 5\) != \(2, 6\)"):
+            parse_checkpoint_lines(edited)
+
+    def test_blank_lines_keep_line_numbers(self):
+        lines = v1_lines()
+        at = lines.index("P") + 1
+        lines[at] = "abc," + lines[at].split(",", 1)[1]
+        lines[1:1] = ["", "   "]
+        with pytest.raises(ParseError, match=rf"^line {at + 3}: "):
+            parse_checkpoint_lines(lines)
+
+
+def _encode(values):
+    return binascii.b2a_base64(np.asarray(values, "<f8").tobytes(), newline=False).decode()
+
+
+def _decode(line):
+    return np.frombuffer(binascii.a2b_base64(line), "<f8")
+
+
+class TestPayloadErrors:
+    """Each corrupt version-2 matrix row is a ParseError naming that row."""
+
+    def row(self, marker, offset=0):
+        lines = checkpoint_lines(sample_model())
+        return lines, lines.index(marker) + 1 + offset
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ln: ln[:3] + "!" + ln[4:], "not base64"),
+        (lambda ln: ln[:8] + " " + ln[8:], "not base64"),
+        (lambda ln: ln[:8] + "\u00e9" + ln[9:], "not base64"),
+        (lambda ln: ln[:-4], "not base64|bytes"),
+        (lambda ln: _encode(_decode(ln)[:-1]), "row decodes to 40 bytes, not 48"),
+        (lambda ln: _encode(np.append(_decode(ln), 1.0)), "row decodes to 56 bytes, not 48"),
+        (lambda ln: _encode(np.append(_decode(ln)[:-1], np.nan)), "non-finite"),
+        (lambda ln: _encode(np.append(_decode(ln)[:-1], np.inf)), "non-finite"),
+        (lambda ln: _encode(np.append(-np.inf, _decode(ln)[1:])), "non-finite"),
+    ], ids=["bad-char", "space", "non-ascii", "cut", "value-short", "value-long",
+            "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("marker, offset", [("base", 3), ("Q", 1)])
+    def test_corrupt_row(self, marker, offset, edit, message):
+        lines, at = self.row(marker, offset)
+        lines[at] = edit(lines[at])
+        with pytest.raises(ParseError, match=rf"^line {at + 1}: .*({message})"):
+            parse_checkpoint_lines(lines)
+
+    @pytest.mark.parametrize("marker, rows", [("base", 5), ("P", 5), ("Q", 2)])
+    def test_missing_last_row(self, marker, rows):
+        lines, at = self.row(marker)
+        del lines[at + rows - 1]
+        with pytest.raises(ParseError, match=rf"^line {at + rows}: "):
+            parse_checkpoint_lines(lines)
+
+    def test_short_row_names_the_matrix_shape(self):
+        model = sample_model()
+        lines = checkpoint_lines(model)
+        at = lines.index("P") + 1
+        assert len(_decode(lines[at])) == model.adapters()[0].rank
+        lines[at] = _encode(_decode(lines[at])[:1])
+        with pytest.raises(ParseError, match=rf"^line {at + 1}: P shape \(5, 2\)"):
+            parse_checkpoint_lines(lines)
+
+
+_TOKENS = ["", "0", "1", "2", "-1", "99999999999", "1e999", "nan", "x", "yes", "no",
+           "=", "P", "Q", "lambda", "base", "bias", "linear", "relu", "AAAAAAAAAAA="]
+
+
+@st.composite
+def mutated_checkpoint(draw):
+    lines = draw(st.sampled_from([checkpoint_lines(sample_model()), v1_lines()])).copy()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["delete", "duplicate", "swap", "token", "char",
+                                     "truncate"]))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "token":
+            tokens = re.split(r"([ ,=])", lines[i])
+            k = draw(st.integers(0, len(tokens) - 1))
+            tokens[k] = draw(st.sampled_from(_TOKENS + tokens))
+            lines[i] = "".join(tokens)
+        elif kind == "char" and lines[i]:
+            k = draw(st.integers(0, len(lines[i]) - 1))
+            c = draw(st.sampled_from("A/+=9-. e\u00e9,"))
+            lines[i] = lines[i][:k] + c + lines[i][k + 1:]
+        elif kind == "truncate":
+            lines = lines[:i] + [lines[i][:draw(st.integers(0, len(lines[i])))]]
+    return lines
+
+
+class TestFuzz:
+    """Any mutation of a valid checkpoint loads or is a ParseError naming a line."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(lines=mutated_checkpoint())
+    def test_mutated_checkpoints(self, lines):
+        try:
+            model = parse_checkpoint_lines(lines)
+        except ParseError as exc:
+            assert LINE_ERROR.fullmatch(str(exc)), str(exc)
+        else:
+            assert isinstance(model, ToyModel)

@@ -103,22 +103,22 @@ PINNED = {
         "criterion8": (
             "a6e99fd9951518a3950d7bb1c541d3003ea925ee6f89225e094bc2ec5f10546e",
             "83d3c85907d79ec6971bf07cc9af9a838c9cf630383e7bf921077be59070a1da",
-            "96904e6d0c0e775271f1ce6ceb9a2b36900afa9ba699bfbfd9a9d649699b42c2",
+            "70df7e740608abc35f80b031d5481a75478036fe33f7f574c993888ee8b76632",
         ),
         "desk": (
             "4bbc127ac831b8e7487b3648bd80cc7c39ae4f9aea2c07c7ca86dbab40a19e64",
             "7f99e47c2929128c93e5b9ae9c228bde081ad747e4e9233d9abda1ad68cf0642",
-            "c73c783a9b846dd62d4dae5d48f3270e35db6d223456bf62b74022739ddf8914",
+            "41b2ac0c33b1e98b1a53a6ccaa6e39dca68c16519f1b812bca1a28d4d599ed85",
         ),
         "churn": (
             "21b0c19d4fdf4968ccce6a3c4fafa38757da36d317b9e2490d51f9c9c85fdbb0",
             "b7ea8d717f42897e86112dad99a1d47486d3714c2e55dc435e8f55c4b169e488",
-            "f9223da8f34af5ae65fee1fcbb46b6d688c03bb316754e1f81ad70f7cfc51545",
+            "d6efcc3c1230283570b0097d2d0e216e9aae26a40d86adc21932a11bc1d004c6",
         ),
         "wide_short": (
             "0a1c2aab52891873dd8092cf563c459bc645d298a017134ef6f06c7d80e9b972",
             "d9d19d7b98d62b51c22200b4dbdd0440344d587c618b39f8b31df23a0ba6874b",
-            "f14dd44a0721fccd65e6b5441bd6352d2888da59566240401323a1299b9307a4",
+            "a1851bdf0328c07326690195174ca2dd08d58feb329f1641b2ce8fa7417315e4",
         ),
     },
 }
