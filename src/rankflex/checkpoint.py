@@ -145,10 +145,11 @@ class _Reader:
         if self.version == 1:
             return self._csv(rows, cols, what)
         start = self.pos
+        width = 4 * -(-8 * cols // 3)  # characters in the base64 of one row
         buf = bytearray()
         for i, line in enumerate(self._take(rows, cols, what)):
             try:
-                data = binascii.a2b_base64(line, strict_mode=True)
+                data = binascii.a2b_base64(line)
             except ValueError as exc:  # binascii.Error, or a non-ASCII str
                 raise ParseError(
                     f"line {self.number(start + i)}: {what} row is not base64 ({exc})"
@@ -157,6 +158,14 @@ class _Reader:
                 raise ParseError(
                     f"line {self.number(start + i)}: {what} shape ({rows}, {cols}): "
                     f"row decodes to {len(data)} bytes, not {8 * cols}"
+                )
+            # a2b_base64 skips characters outside the alphabet and stops at
+            # complete padding, so a row of 8*cols bytes is exactly `width`
+            # characters long only if it holds nothing else.
+            if len(line) != width:
+                raise ParseError(
+                    f"line {self.number(start + i)}: {what} row is not base64 "
+                    f"({len(line)} characters, not {width})"
                 )
             buf += data
         m = np.frombuffer(buf, dtype=_ROW_DTYPE).reshape(rows, cols).astype(np.float64, copy=False)
