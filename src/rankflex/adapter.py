@@ -91,9 +91,9 @@ class SvdAdapter:
             raise ShapeError("base_w must be 2-D")
         base.flags.writeable = False
         self.base_w = base
-        self.p = np.array(p, dtype=np.float64)
+        self.p = np.array(p, dtype=np.float64, order="C")
         self.lam = np.array(lam, dtype=np.float64).reshape(-1)
-        self.q = np.array(q, dtype=np.float64)
+        self.q = np.array(q, dtype=np.float64, order="C")
         self.r_init = int(r_init)
         self.r_max = int(r_max)
         self.alpha = float(alpha)
@@ -175,12 +175,20 @@ class SvdAdapter:
         if x.shape[0] != self.d_in:
             raise ShapeError(f"input rows {x.shape[0]} != d_in {self.d_in}")
         base = self.base_w @ x
-        active = self.lam != 0.0
-        if not active.any():
+        nonzero = np.count_nonzero(self.lam)
+        if nonzero == 0:
             return base
-        u = self.q[active] @ x
-        u *= self.lam[active, None]
-        return base + self.scale * (self.p[:, active] @ u)
+        if nonzero == self.rank:
+            # The operands as the masked copies below would lay them out:
+            # q[mask] is C-ordered like q (kept so by __init__), p[:, mask]
+            # comes out Fortran-ordered. GEMM bits depend on that order.
+            p, lam, q = np.asfortranarray(self.p), self.lam, self.q
+        else:
+            active = self.lam != 0.0
+            p, lam, q = self.p[:, active], self.lam[active], self.q[active]
+        u = q @ x
+        u *= lam[:, None]
+        return base + self.scale * (p @ u)
 
     def backward(self, x, g, gamma=0.0):
         """((dP, dlam, dQ), dx) for the batch ``x`` given dL/dy ``g``, plus
@@ -201,18 +209,25 @@ class SvdAdapter:
 
     # -- orthogonality regularizer ----------------------------------------
 
+    def _gram_residuals(self):
+        """P^T P - I and Q Q^T - I. The identity is subtracted on the
+        diagonal in place; off the diagonal ``x - 0.0`` is ``x`` bit for
+        bit, so this equals subtracting ``np.eye(r)``."""
+        step = self.rank + 1
+        pg = self.p.T @ self.p
+        qg = self.q @ self.q.T
+        pg.flat[::step] -= 1.0
+        qg.flat[::step] -= 1.0
+        return pg, qg
+
     def ortho_regularizer(self):
         """Squared Frobenius distance of P^T P and Q Q^T from identity."""
-        r = self.rank
-        pg = self.p.T @ self.p - np.eye(r)
-        qg = self.q @ self.q.T - np.eye(r)
+        pg, qg = self._gram_residuals()
         return float(np.sum(pg * pg) + np.sum(qg * qg))
 
     def ortho_regularizer_grad(self):
         """Gradients of the regularizer with respect to P and Q."""
-        r = self.rank
-        pg = self.p.T @ self.p - np.eye(r)
-        qg = self.q @ self.q.T - np.eye(r)
+        pg, qg = self._gram_residuals()
         return 4.0 * (self.p @ pg), 4.0 * (qg @ self.q)
 
     # -- rank surgery ------------------------------------------------------

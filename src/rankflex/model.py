@@ -75,16 +75,22 @@ class LayerSpec:
 
 class LinearLayer:
     def __init__(self, base_w, bias=None, adapter=None):
-        base = np.array(base_w, dtype=np.float64)
+        # A plain layer keeps a read-only copy of ``base_w``; an adapted one
+        # only compares it with the adapter's base, so it reads it in place.
+        if adapter is None:
+            base = np.array(base_w, dtype=np.float64)
+        else:
+            base = np.asarray(base_w, dtype=np.float64)
         if base.ndim != 2:
             raise ShapeError("base weight must be 2-D")
-        if adapter is not None:
+        if adapter is None:
+            base.flags.writeable = False
+        else:
             if adapter.base_w.shape != base.shape:
                 raise ShapeError("adapter base shape differs from layer shape")
             if not np.array_equal(adapter.base_w, base):
                 raise ParameterError(f"base weight differs from adapter {adapter.id!r}'s base")
             base = adapter.base_w
-        base.flags.writeable = False
         self.base_w = base
         self.bias = None if bias is None else np.array(bias, dtype=np.float64).reshape(-1)
         if self.bias is not None and self.bias.size != base.shape[0]:
@@ -123,7 +129,8 @@ def mse_loss(y, targets):
     if y.shape != t.shape:
         raise ShapeError(f"prediction shape {y.shape} != target shape {t.shape}")
     d = y - t
-    return float(np.mean(d * d)), (2.0 / d.size) * d
+    # np.mean's own sum and division, without its Python-level wrapper.
+    return float(np.add.reduce(d * d, axis=None)) / d.size, (2.0 / d.size) * d
 
 
 def softmax_ce_loss(y, labels):

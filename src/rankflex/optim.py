@@ -1,11 +1,21 @@
-"""AdamW with per-direction state surgery.
+"""AdamW with per-direction state surgery over flat moment buffers.
 
 A hand-rolled optimizer is used instead of a framework import because rank
 changes must reach into the moment buffers: pruning an adapter direction
 deletes the matching slice of m and v, expansion appends zeros, and every
 untouched direction keeps its accumulated state. Weight decay is decoupled
-(applied directly to the parameter, not through the gradient) and skips any
-name passed in ``no_decay``.
+(applied directly to the parameter, not through the gradient), runs before
+the moment update, and skips any name passed in ``no_decay``.
+
+m and v live in two contiguous float64 buffers, one span per parameter in
+sorted-name order; ``state[name]["m"]`` and ``["v"]`` are reshaped views of
+them. A step gathers the gradients into one buffer and updates both moments
+with whole-buffer ufuncs in the per-array operation order, so each element
+is rounded exactly as a per-parameter loop would round it. The buffers are
+re-packed when the ``(name, shape)`` layout of the parameters differs from
+the packed one: on the first step, after ``prune_direction`` or
+``expand_direction`` (which replace a name's views with resized arrays),
+and when a new name appears.
 """
 
 from __future__ import annotations
@@ -37,38 +47,80 @@ class AdamW:
         self.weight_decay = weight_decay
         self.t = 0
         self.state = {}
+        # The (name, shape) layout the flat buffers were packed for; None
+        # forces a re-pack on the next step.
+        self._layout = None
 
     def step(self, params, grads, no_decay=()):
         """One update, in place, over name-keyed parameter arrays.
 
-        Moment buffers are created lazily per name; a shape mismatch between
-        a parameter and its buffer means rank surgery was skipped and is an
-        error rather than a silent reset.
+        Moment state is created as zeros for a new name; a shape mismatch
+        between a parameter and its state means rank surgery was skipped and
+        is an error rather than a silent reset.
         """
-        self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
-        for name in sorted(params):
+        names = sorted(params)
+        ps = [params[name] for name in names]
+        gs = []
+        for name, p in zip(names, ps):
             if name not in grads:
                 raise ParameterError(f"missing gradient for parameter {name!r}")
-            p = params[name]
             g = np.asarray(grads[name], dtype=np.float64)
             if g.shape != p.shape:
                 raise ShapeError(f"{name}: grad shape {g.shape} != param shape {p.shape}")
+            gs.append(g)
+        layout = tuple((name, p.shape) for name, p in zip(names, ps))
+        if layout != self._layout:
+            self._repack(layout)
+        self.t += 1
+        if not ps:
+            return
+        if self.weight_decay > 0.0:
+            decay = self.lr * self.weight_decay
+            for name, p in zip(names, ps):
+                if name not in no_decay:
+                    p -= decay * p
+        # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and
+        # upd = lr*(m/bc1) / (sqrt(v/bc2) + eps), written in place into
+        # buffers packed with m and v; every product, quotient and sum is the
+        # one the per-array formula rounds.
+        m, v, g, upd, den = self._m, self._v, self._g, self._upd, self._den
+        np.concatenate(gs, axis=None, out=g)
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=upd)
+        v *= self.beta2
+        g *= g
+        g *= 1.0 - self.beta2
+        v += g
+        np.divide(m, 1.0 - self.beta1**self.t, out=upd)
+        upd *= self.lr
+        np.divide(v, 1.0 - self.beta2**self.t, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        upd /= den
+        for p, u in zip(ps, self._upd_views):
+            p -= u
+
+    def _repack(self, layout):
+        """Copy each name's moments into fresh flat buffers laid out as
+        ``layout``; a new name starts at zero."""
+        spans, end = [], 0
+        for name, shape in layout:
             st = self.state.get(name)
-            if st is None:
-                st = {"m": np.zeros_like(p), "v": np.zeros_like(p)}
-                self.state[name] = st
-            m, v = st["m"], st["v"]
-            if m.shape != p.shape:
-                raise ShapeError(f"{name}: state shape {m.shape} != param shape {p.shape}")
-            if self.weight_decay > 0.0 and name not in no_decay:
-                p -= self.lr * self.weight_decay * p
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if st is not None and st["m"].shape != shape:
+                raise ShapeError(f"{name}: state shape {st['m'].shape} != param shape {shape}")
+            spans.append((end, end + math.prod(shape), shape))
+            end += math.prod(shape)
+        self._m, self._v = np.zeros(end), np.zeros(end)
+        self._g, self._upd, self._den = np.empty(end), np.empty(end), np.empty(end)
+        for (name, _), (a, b, shape) in zip(layout, spans):
+            views = {"m": self._m[a:b].reshape(shape), "v": self._v[a:b].reshape(shape)}
+            st = self.state.get(name)
+            if st is not None:
+                views["m"][...] = st["m"]
+                views["v"][...] = st["v"]
+            self.state[name] = views
+        self._upd_views = [self._upd[a:b].reshape(shape) for a, b, shape in spans]
+        self._layout = layout
 
     def prune_direction(self, name, index, axis):
         """Delete one slice of the moment buffers after a rank prune."""
@@ -77,6 +129,7 @@ class AdamW:
             return
         st["m"] = np.delete(st["m"], index, axis=axis)
         st["v"] = np.delete(st["v"], index, axis=axis)
+        self._layout = None
 
     def expand_direction(self, name, axis):
         """Append a zero slice to the moment buffers after an expansion."""
@@ -87,6 +140,7 @@ class AdamW:
             shape = list(st[key].shape)
             shape[axis] = 1
             st[key] = np.concatenate([st[key], np.zeros(shape)], axis=axis)
+        self._layout = None
 
     def sync_rank_change(self, event):
         """Apply one AllocationEvent to the three factor buffers."""

@@ -8,7 +8,9 @@ byte-identical traces, metrics, and checkpoints.
 Step order: sample batch, forward, loss, divergence check, backward,
 sensitivity EMA update (when that metric is active), optimizer step, then —
 at allocation steps with nonzero budget — score, select, apply, and sync the
-optimizer state to the new ranks.
+optimizer state to the new ranks. The name-keyed parameter dict handed to the
+optimizer is collected before the first step and again after each such
+allocation step, the only place where arrays are replaced.
 """
 
 from __future__ import annotations
@@ -177,6 +179,15 @@ def _metrics_row(step, loss, model):
     return row
 
 
+def _params_and_no_decay(model):
+    """The model's parameters by name and the names exempt from decay.
+
+    Both stay valid until rank surgery replaces an adapter's factor arrays.
+    """
+    params = model.trainable_params()
+    return params, frozenset(k for k in params if k.endswith(".bias"))
+
+
 def run_training(config, observer=None):
     """Execute one run; returns a TrainResult.
 
@@ -210,6 +221,7 @@ def run_training(config, observer=None):
     n = dataset.inputs.shape[1]
     initial_loss = None
     loss = float("nan")
+    params, no_decay = _params_and_no_decay(model)
 
     def result(abort=None):
         return TrainResult(
@@ -243,8 +255,6 @@ def run_training(config, observer=None):
                     config.metric.beta1,
                     config.metric.beta2,
                 )
-        params = model.trainable_params()
-        no_decay = frozenset(k for k in params if k.endswith(".bias"))
         optimizer.step(params, grads, no_decay=no_decay)
 
         if adapters and schedule.is_allocation_step(t):
@@ -266,6 +276,7 @@ def run_training(config, observer=None):
                     events.extend(step_events)
                 if observer is not None:
                     observer(t, "post_allocation", model, {"events": step_events})
+                params, no_decay = _params_and_no_decay(model)
 
         if t % config.log_every == 0 or t == schedule.total_steps - 1:
             metrics.append(_metrics_row(t, loss, model))

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rankflex.adapter import INIT_VARIANTS, InitStrategy, SvdAdapter
 from rankflex.errors import (
@@ -126,6 +129,25 @@ class TestForward:
         a.q[1, :] = -1e12
         assert np.array_equal(a.forward(x), before)
 
+    def test_all_active_forward_rounds_as_masked_copies(self, rng):
+        # With every lam nonzero the forward skips the masked copies; its
+        # GEMMs must round exactly as those on the copies, in either order
+        # the factors are handed over.
+        for _ in range(100):
+            d_out, d_in, r, b = (int(v) for v in rng.integers(1, [200, 200, 40, 64]))
+            base = rng.standard_normal((d_out, d_in))
+            p, q = rng.standard_normal((d_out, r)), rng.standard_normal((r, d_in))
+            lam = rng.standard_normal(r)
+            if rng.random() < 0.5:
+                p, q = np.asfortranarray(p), np.asfortranarray(q)
+            a = SvdAdapter("a", base, p, lam, q, r_init=r, r_max=r, alpha=4.0)
+            x = rng.standard_normal((d_in, b))
+            mask = np.ones(r, dtype=bool)
+            u = q[mask] @ x
+            u *= lam[mask, None]
+            masked = base @ x + a.scale * (p[:, mask] @ u)
+            assert np.array_equal(a.forward(x).view(np.uint64), masked.view(np.uint64))
+
     def test_input_shape_checked(self, rng):
         a = make_adapter(rng)
         with pytest.raises(ShapeError):
@@ -171,6 +193,57 @@ class TestRegularizer:
             for analytic, numeric in ((gp, num_p), (gq, num_q)):
                 ok, excess = oracles.grad_close(analytic, numeric, rel=1e-6)
                 assert ok, f"regularizer FD mismatch by {excess}"
+
+
+def eye_form(a):
+    """The Gram residuals, the regularizer and its gradients with
+    ``np.eye(r)`` subtracted."""
+    r = a.rank
+    pg = a.p.T @ a.p - np.eye(r)
+    qg = a.q @ a.q.T - np.eye(r)
+    return ((pg, qg), float(np.sum(pg * pg) + np.sum(qg * qg)),
+            (4.0 * (a.p @ pg), 4.0 * (qg @ a.q)))
+
+
+# Entries from a few exact values, signed zeros among them, and finite floats.
+ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                  st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def factor(draw, rows, cols, transpose):
+    """A rows x cols factor (transposed for Q). When rows >= cols it may be
+    made of signed unit columns padded with 0.0 or -0.0, whose Gram matrix
+    is exactly the identity."""
+    if rows >= cols and draw(st.booleans()):
+        signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=cols, max_size=cols))
+        m = np.eye(rows, cols) * np.array(signs)
+        m[m == 0.0] = draw(st.sampled_from([0.0, -0.0]))
+    else:
+        m = draw(arrays(np.float64, (rows, cols), elements=ENTRY))
+    return m.T.copy() if transpose else m
+
+
+@st.composite
+def regularizer_adapters(draw):
+    r = draw(st.integers(1, 16))
+    d_out = draw(st.integers(1, 20))
+    d_in = draw(st.integers(1, 20))
+    p = draw(factor(d_out, r, False))
+    q = draw(factor(d_in, r, True))
+    return SvdAdapter("a", np.zeros((d_out, d_in)), p, np.ones(r), q,
+                      r_init=r, r_max=r, alpha=1.0)
+
+
+class TestRegularizerIdentity:
+    @settings(max_examples=200, deadline=None)
+    @given(regularizer_adapters())
+    def test_in_place_diagonal_equals_eye_form(self, a):
+        residuals, value, grads = eye_form(a)
+        pairs = [*zip(a._gram_residuals(), residuals), *zip(a.ortho_regularizer_grad(), grads),
+                 (np.float64(a.ortho_regularizer()), np.float64(value))]
+        for got, want in pairs:
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestPrune:

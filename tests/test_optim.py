@@ -219,3 +219,74 @@ class TestSurgery:
         assert m.shape == (4, 3)
         assert np.array_equal(m[:, :2], kept)
         assert not m[:, 2].any()
+
+
+class PerArrayAdamW(AdamW):
+    """The update as a loop over parameter arrays, each with its own m and v:
+    the reference the flat buffers must match bit for bit."""
+
+    def step(self, params, grads, no_decay=()):
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for name in sorted(params):
+            p = params[name]
+            g = np.asarray(grads[name], dtype=np.float64)
+            st = self.state.setdefault(name, {"m": np.zeros_like(p), "v": np.zeros_like(p)})
+            m, v = st["m"], st["v"]
+            assert m.shape == p.shape
+            if self.weight_decay > 0.0 and name not in no_decay:
+                p -= self.lr * self.weight_decay * p
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestFlatBuffersMatchPerArray:
+    def test_bitwise_through_surgery_and_a_late_name(self, rng):
+        kw = dict(lr=0.05, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
+        opts = (AdamW(**kw), PerArrayAdamW(**kw))
+        init = {"a.p": rng.standard_normal((4, 3)), "a.lam": rng.standard_normal(3),
+                "a.q": rng.standard_normal((3, 5)), "layer0.bias": rng.standard_normal(4)}
+        runs = [{k: v.copy() for k, v in init.items()} for _ in opts]
+        no_decay = frozenset({"layer0.bias"})
+        surgery = {9: ("prune", 1), 17: ("expand", 2), 30: ("expand", 3), 44: ("prune", 0)}
+        for t in range(60):
+            if t == 23:
+                late = rng.standard_normal((2, 2))
+                for params in runs:
+                    params["b.w"] = late.copy()
+            grads = {k: rng.standard_normal(v.shape) for k, v in runs[0].items()}
+            for opt, params in zip(opts, runs):
+                opt.step(params, grads, no_decay=no_decay)
+            if t in surgery:
+                action, index = surgery[t]
+                r = runs[0]["a.lam"].size
+                ev = AllocationEvent(step=t, adapter_id="a", action=action, rank_before=r,
+                                     rank_after=r - 1 if action == "prune" else r + 1,
+                                     score=0.0, detail=0.0, index=index)
+                p_new, q_new = rng.standard_normal(4), rng.standard_normal(5)
+                for opt, params in zip(opts, runs):
+                    if action == "prune":
+                        params["a.p"] = np.delete(params["a.p"], index, axis=1)
+                        params["a.lam"] = np.delete(params["a.lam"], index)
+                        params["a.q"] = np.delete(params["a.q"], index, axis=0)
+                    else:
+                        params["a.p"] = np.concatenate([params["a.p"], p_new[:, None]], axis=1)
+                        params["a.lam"] = np.append(params["a.lam"], 0.0)
+                        params["a.q"] = np.concatenate([params["a.q"], q_new[None, :]], axis=0)
+                    opt.sync_rank_change(ev)
+            flat, ref = runs
+            assert flat.keys() == ref.keys()
+            for name in ref:
+                assert np.array_equal(bits(flat[name]), bits(ref[name])), (t, name)
+                for key in ("m", "v"):
+                    assert np.array_equal(bits(opts[0].state[name][key]),
+                                          bits(opts[1].state[name][key])), (t, name, key)
+        assert runs[0]["a.lam"].size == 3

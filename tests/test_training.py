@@ -8,7 +8,7 @@ from rankflex.allocator import BudgetSchedule
 from rankflex.checkpoint import checkpoint_lines
 from rankflex.errors import DivergenceError, ParameterError
 from rankflex.importance import MetricKind
-from rankflex.model import AdapterSpec, LayerSpec
+from rankflex.model import AdapterSpec, LayerSpec, ToyModel
 from rankflex.tasks import SyntheticTask
 from rankflex.trace import trace_lines, verify_trace
 from rankflex.training import (
@@ -252,6 +252,45 @@ class TestObserverAndInvariance:
                         init_strategy=InitStrategy("zero_impact")),
             observer=observer)
         assert seen["count"] > 0
+
+
+class TestParameterCache:
+    def test_params_collected_per_firing_not_per_step(self, monkeypatch):
+        calls = []
+        original = ToyModel.trainable_params
+
+        def counting(model):
+            calls.append(1)
+            return original(model)
+
+        monkeypatch.setattr(ToyModel, "trainable_params", counting)
+        config = make_config()
+        result = run_training(config)
+        sched = config.schedule
+        firings = sum(1 for t in sched.allocation_steps() if sched.budget(t) > 0)
+        assert firings > 0
+        # One collection before the loop, one per firing, one per metrics
+        # row (its param_count); none per step.
+        assert len(calls) <= firings + len(result.metrics) + 1 < sched.total_steps
+
+    def test_expanded_adapter_keeps_training(self):
+        # The factor arrays an expansion puts in place must be the ones the
+        # optimizer updates until the next allocation step.
+        pending, moved = [], []
+
+        def observer(step, phase, model, info):
+            if phase == "pre_allocation":
+                moved.extend(not np.array_equal(live, before) for live, before in pending)
+                pending.clear()
+                return
+            adapters = {a.id: a for a in model.adapters()}
+            for event in info["events"]:
+                if event.action == "expand":
+                    a = adapters[event.adapter_id]
+                    pending.extend((arr, arr.copy()) for arr in (a.p, a.lam, a.q))
+
+        run_training(make_config(mode="expand_only"), observer=observer)
+        assert moved and all(moved)
 
 
 class TestDivergence:
