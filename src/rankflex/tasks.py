@@ -4,8 +4,12 @@ The regression task plants a teacher network: the student's frozen base
 weights plus, at every adapted layer, an additive delta of exactly the
 requested rank. Targets are teacher outputs with optional Gaussian
 observation noise, so an adapter can close the gap exactly if and only if
-its rank reaches the teacher's. The classification task is two separable
-Gaussian blobs.
+its rank reaches the teacher's. Each rank-k delta is a scaled product of two
+k-column orthonormal factors, each built in one incremental Gram-Schmidt pass
+(``linalg.orthonormal_columns``); the data set is drawn from the same
+generator afterwards. ``check_teacher_ranks`` states which ranks a model's
+adapted layers accept. The classification task is two separable Gaussian
+blobs.
 
 Teachers are frozen at construction (they snapshot the base weights), so a
 fresh evaluation set can be sampled later against the same teacher.
@@ -18,7 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .linalg import gram_schmidt_extend
+from .linalg import orthonormal_columns
+# Unused here; bench/tracer.py hooks this name until ROADMAP item 3 lands.
+from .linalg import gram_schmidt_extend  # noqa: F401
 from .model import ActivationLayer, LinearLayer
 
 __all__ = [
@@ -26,6 +32,7 @@ __all__ = [
     "SyntheticTask",
     "TeacherNet",
     "Dataset",
+    "check_teacher_ranks",
     "build_teacher",
     "sample_regression",
     "sample_blobs",
@@ -100,24 +107,28 @@ class Dataset:
     teacher: TeacherNet | None = None
 
 
-def _orthonormal_columns(dim, k, rng):
-    cols = np.zeros((dim, 0))
-    for _ in range(k):
-        new = gram_schmidt_extend(cols, rng.standard_normal(dim), rng)
-        cols = np.column_stack([cols, new])
-    return cols
-
-
 def _rank_k_delta(d_out, d_in, k, scale, rng):
     # Sum of k outer products of orthonormal factor pairs: exactly k singular
     # values, all equal to scale / sqrt(k). A sum of free Gaussian outer
     # products would also be rank k but with a heavily decaying spectrum,
     # which quietly turns "intrinsic rank k" into "a few ranks that matter".
-    if k > min(d_out, d_in):
-        raise ParameterError(f"teacher rank {k} exceeds layer dims {d_out}x{d_in}")
-    u = _orthonormal_columns(d_out, k, rng)
-    v = _orthonormal_columns(d_in, k, rng)
+    u = orthonormal_columns(d_out, k, rng)
+    v = orthonormal_columns(d_in, k, rng)
     return (scale / np.sqrt(k)) * (u @ v.T)
+
+
+def check_teacher_ranks(ranks, shapes):
+    """Check ``task.teacher_ranks`` against the adapted layers' ``(d_out, d_in)``
+    shapes in depth order: one rank per adapted layer, and each rank at most
+    its layer's smaller side, since a rank-k delta needs k orthonormal
+    columns on each side."""
+    if len(ranks) != len(shapes):
+        raise ParameterError(
+            f"task.teacher_ranks has {len(ranks)} ranks for {len(shapes)} adapted layers")
+    for i, (k, (d_out, d_in)) in enumerate(zip(ranks, shapes)):
+        if k > min(d_out, d_in):
+            raise ParameterError(
+                f"task.teacher_ranks[{i}] {k} exceeds its adapted layer's dims {d_out}x{d_in}")
 
 
 def build_teacher(model, task, rng):
@@ -128,12 +139,9 @@ def build_teacher(model, task, rng):
     """
     if task.kind != "low_rank_teacher":
         raise ParameterError(f"task kind {task.kind!r} has no teacher")
-    adapted = [i for i, l in enumerate(model.layers)
-               if isinstance(l, LinearLayer) and l.adapter is not None]
-    if len(task.teacher_ranks) != len(adapted):
-        raise ParameterError(
-            f"{len(task.teacher_ranks)} teacher ranks for {len(adapted)} adapted layers"
-        )
+    adapted = {i: (l.d_out, l.d_in) for i, l in enumerate(model.layers)
+               if isinstance(l, LinearLayer) and l.adapter is not None}
+    check_teacher_ranks(task.teacher_ranks, list(adapted.values()))
     ranks = dict(zip(adapted, task.teacher_ranks))
     layers = []
     deltas = {}

@@ -27,7 +27,13 @@ from .importance import MetricKind, SensitivityState, score_all, sensitivity_upd
 from .linalg import split_rng
 from .model import LayerSpec, ToyModel, build_model
 from .optim import AdamW
-from .tasks import SyntheticTask, build_teacher, sample_blobs, sample_regression
+from .tasks import (
+    SyntheticTask,
+    build_teacher,
+    check_teacher_ranks,
+    sample_blobs,
+    sample_regression,
+)
 
 __all__ = [
     "OptimizerConfig",
@@ -112,6 +118,9 @@ class TrainConfig:
         if self.task.kind == "two_blobs" and linear[-1][1].d_out < 2:
             raise ParameterError(
                 f"layers[{linear[-1][0]}].d_out must be >= 2 for two_blobs' two classes")
+        if self.task.kind == "low_rank_teacher":
+            check_teacher_ranks(self.task.teacher_ranks, [
+                (spec.d_out, spec.d_in) for _, spec in linear if spec.adapter is not None])
         if self.init_strategy.variant in ("small_init", "orthogonal_init"):
             # These variants expand along directions orthogonal to the
             # existing factors, and a d-dimensional space holds only d.

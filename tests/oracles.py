@@ -3,8 +3,9 @@
 Everything here is coded directly from the mathematical definitions, without
 importing from the package under test, so agreement is evidence rather than
 tautology: extended-precision metric evaluation via mpmath, brute-force
-matrix products, central finite differences, and a from-scratch trace
-bookkeeper.
+matrix products, central finite differences, a from-scratch trace
+bookkeeper, and the k-call orthonormal-column build that re-orthonormalizes
+its whole basis for every column.
 """
 
 import json
@@ -95,6 +96,41 @@ def matmul_bruteforce(a, b):
                 acc += a[i, k] * b[k, j]
             out[i, j] = acc
     return out
+
+
+def orthonormal_columns_k_calls(dim, k, rng, tol=1e-10, max_retries=8):
+    """Teacher factor built one column per Gram-Schmidt call: each call
+    re-orthonormalizes every earlier column (modified Gram-Schmidt, two
+    passes, dropping dependent columns), then projects a Gaussian candidate
+    off them, redrawing from ``rng`` while its residual norm is below
+    ``tol``. O(k^3 * dim); the reference for the incremental build."""
+
+    def extend(basis, v):
+        rows, count = basis.shape
+        ortho = []
+        for j in range(count):
+            w = basis[:, j].astype(np.float64, copy=True)
+            for _ in range(2):
+                for u in ortho:
+                    w -= (w @ u) * u
+            norm = float(np.linalg.norm(w))
+            if norm > tol * max(1.0, float(np.linalg.norm(basis[:, j]))):
+                ortho.append(w / norm)
+        w = v.astype(np.float64, copy=True)
+        for _ in range(max_retries):
+            for _ in range(2):
+                for u in ortho:
+                    w -= (w @ u) * u
+            norm = float(np.linalg.norm(w))
+            if norm >= tol:
+                return w / norm
+            w = rng.standard_normal(rows)
+        raise ValueError(f"no orthogonal direction after {max_retries} candidates")
+
+    cols = np.zeros((dim, 0))
+    for _ in range(k):
+        cols = np.column_stack([cols, extend(cols, rng.standard_normal(dim))])
+    return cols
 
 
 def central_diff(f, arrays, h=1e-5):

@@ -229,6 +229,16 @@ class TestTrain:
         assert main(["train", write_config(tmp_path, raw)]) == 2
         assert "task.input_dim" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ranks", [[3, 1, 1], [3], [7, 1], [3, 5]],
+                             ids=["too-many", "too-few", "above-first-dims", "above-last-dims"])
+    def test_teacher_ranks_rejected_before_output_dir(self, tmp_path, monkeypatch, capsys, ranks):
+        monkeypatch.chdir(tmp_path)
+        raw = base_config()
+        raw["task"]["teacher_ranks"] = ranks
+        assert main(["train", write_config(tmp_path, raw)]) == 2
+        assert "task.teacher_ranks" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("content, overrides, message", [
         (None, [], "cannot read config file"),
         (b"\xff\xfe", [], "cannot read config file"),

@@ -1,6 +1,10 @@
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rankflex import linalg
 from rankflex.errors import (
     DegenerateInputError,
     ParameterError,
@@ -13,6 +17,7 @@ from rankflex.linalg import (
     gram_schmidt_extend,
     matrix_from_csv_lines,
     matrix_to_csv_lines,
+    orthonormal_columns,
     seeded_rng,
     split_rng,
 )
@@ -112,6 +117,79 @@ class TestGramSchmidtExtend:
 
         with pytest.raises(DegenerateInputError):
             gram_schmidt_extend(np.eye(5)[:, :2], np.zeros(5), ZeroRng())
+
+
+class ScriptedRng:
+    """Hands out the scripted candidates in order, then a seeded stream;
+    logs the length of every draw."""
+
+    def __init__(self, script):
+        self.script = [np.array(v, dtype=np.float64) for v in script]
+        self.rest = seeded_rng(0)
+        self.draws = []
+
+    def standard_normal(self, n):
+        self.draws.append(n)
+        return self.script.pop(0) if self.script else self.rest.standard_normal(n)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestOrthonormalColumns:
+    """The incremental build against the k-call build it replaces, which
+    re-orthonormalizes every earlier column for each new one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.integers(1, 40), data=st.data(), seed=st.integers(0, 2**63))
+    def test_bitwise_equal_to_k_call_build(self, dim, data, seed):
+        k = data.draw(st.integers(1, dim), label="k")
+        got_rng, want_rng = seeded_rng(seed), seeded_rng(seed)
+        got = orthonormal_columns(dim, k, got_rng)
+        assert_same_bits(got, oracles.orthonormal_columns_k_calls(dim, k, want_rng))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_bitwise_equal_at_wide_teacher_size(self):
+        got_rng, want_rng = seeded_rng(401), seeded_rng(401)
+        got = orthonormal_columns(512, 64, got_rng)
+        assert_same_bits(got, oracles.orthonormal_columns_k_calls(512, 64, want_rng))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert np.max(np.abs(got.T @ got - np.eye(64))) <= 1e-12
+
+    def test_candidate_in_span_is_redrawn_like_the_reference(self):
+        # Column 0 is e0 exactly, so candidates 5*e0 and -e0 project to zero.
+        script = [[2.0, 0, 0, 0, 0], [5.0, 0, 0, 0, 0], [-1.0, 0, 0, 0, 0]]
+        got_rng, want_rng = ScriptedRng(script), ScriptedRng(script)
+        got = orthonormal_columns(5, 3, got_rng)
+        assert_same_bits(got, oracles.orthonormal_columns_k_calls(5, 3, want_rng))
+        assert got_rng.draws == want_rng.draws == [5] * 5
+        assert_same_bits(got[:, 0], np.eye(5)[:, 0])
+        assert np.max(np.abs(got.T @ got - np.eye(3))) <= 1e-12
+
+    def test_degenerate_generator_gives_up(self):
+        with pytest.raises(DegenerateInputError):
+            orthonormal_columns(5, 2, ScriptedRng([np.zeros(5)] * 100))
+
+    def test_too_many_columns_rejected(self, rng):
+        with pytest.raises(RankFullError):
+            orthonormal_columns(4, 5, rng)
+        with pytest.raises(ParameterError):
+            orthonormal_columns(4, 0, rng)
+
+    def test_each_column_orthonormalized_once(self, monkeypatch):
+        # The k-call build orthonormalizes k(k-1)/2 columns for k = 12: 66.
+        calls = []
+        inner = linalg._orthonormalize_into
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(linalg, "_orthonormalize_into", counting)
+        orthonormal_columns(32, 12, seeded_rng(5))
+        assert len(calls) == 11
 
 
 class TestMatrixCsv:

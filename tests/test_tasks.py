@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rankflex import linalg
 from rankflex.adapter import SvdAdapter
 from rankflex.errors import ParameterError
 from rankflex.linalg import seeded_rng
@@ -100,12 +101,12 @@ class TestBuildTeacher:
 
     def test_rank_exceeding_dims_rejected(self):
         model = adapted_model()
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"task.teacher_ranks\[1\] 7 exceeds"):
             build_teacher(model, teacher_task(ranks=(2, 7)), seeded_rng(44))
 
     def test_rank_count_must_match_adapted_layers(self):
         model = adapted_model()
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="task.teacher_ranks has 1 ranks for 2"):
             build_teacher(model, teacher_task(ranks=(2,)), seeded_rng(45))
 
     def test_wrong_kind_rejected(self):
@@ -120,6 +121,21 @@ class TestBuildTeacher:
         b = build_teacher(model, teacher_task(), seeded_rng(47))
         for depth in (0, 2):
             assert np.array_equal(a.deltas[depth], b.deltas[depth])
+
+    def test_each_factor_column_orthonormalized_once(self, monkeypatch):
+        # A rank-k factor orthonormalizes k - 1 columns, and each delta has
+        # two factors: 2 * (4 + 3). The k-call build would make 2 * (10 + 6).
+        calls = []
+        inner = linalg._orthonormalize_into
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(linalg, "_orthonormalize_into", counting)
+        build_teacher(adapted_model(), teacher_task(ranks=(5, 4)), seeded_rng(48))
+        assert len(calls) == 14
+
 
 class TestSampling:
     def test_regression_shapes_and_determinism(self):
