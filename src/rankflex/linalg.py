@@ -72,6 +72,11 @@ def gaussian_matrix(rows, cols, std, rng):
     return std * rng.standard_normal((rows, cols))
 
 
+# Residual-norm floor and redraw budget of the orthogonalization steps.
+_GS_TOL = 1e-10
+_GS_MAX_RETRIES = 8
+
+
 def _project_twice(w, ortho):
     """Subtract ``w``'s components along the orthonormal list in place, in two
     passes, which pins the leak at machine precision."""
@@ -106,7 +111,9 @@ def _project_off(ortho, candidate, rng, tol, max_retries):
     )
 
 
-def gram_schmidt_extend(basis, candidate, rng, tol=1e-10, max_retries=8):
+def gram_schmidt_extend(
+    basis, candidate, rng, tol=_GS_TOL, max_retries=_GS_MAX_RETRIES
+):
     """Unit vector orthogonal to every column of ``basis``.
 
     The basis columns are first orthonormalized internally (modified
@@ -135,7 +142,7 @@ def gram_schmidt_extend(basis, candidate, rng, tol=1e-10, max_retries=8):
     return _project_off(ortho, v, rng, tol, max_retries)
 
 
-def orthonormal_columns(dim, k, rng, tol=1e-10, max_retries=8):
+def orthonormal_columns(dim, k, rng):
     """``dim``-by-``k`` matrix of orthonormal columns drawn from ``rng``.
 
     Column j projects a Gaussian candidate off columns 0..j-1, exactly as
@@ -148,17 +155,17 @@ def orthonormal_columns(dim, k, rng, tol=1e-10, max_retries=8):
     Raises RankFullError when ``k`` exceeds ``dim``, and DegenerateInputError
     when no candidate survives.
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
     if k > dim:
         raise RankFullError(f"{k} orthonormal columns do not fit in R^{dim}")
     ortho = []
-    cols = []
+    out = np.empty((dim, k))
     for j in range(k):
-        cols.append(_project_off(ortho, rng.standard_normal(dim), rng, tol, max_retries))
+        candidate = rng.standard_normal(dim)
+        col = _project_off(ortho, candidate, rng, _GS_TOL, _GS_MAX_RETRIES)
+        out[:, j] = col
         if j < k - 1:
-            _orthonormalize_into(ortho, cols[j], tol)
-    return np.column_stack(cols)
+            _orthonormalize_into(ortho, col, _GS_TOL)
+    return out
 
 
 def matrix_to_csv_lines(m):

@@ -175,8 +175,6 @@ class TestOrthonormalColumns:
     def test_too_many_columns_rejected(self, rng):
         with pytest.raises(RankFullError):
             orthonormal_columns(4, 5, rng)
-        with pytest.raises(ParameterError):
-            orthonormal_columns(4, 0, rng)
 
     def test_each_column_orthonormalized_once(self, monkeypatch):
         # The k-call build orthonormalizes k(k-1)/2 columns for k = 12: 66.
