@@ -5,13 +5,15 @@ Matrices are plain ``numpy.ndarray`` objects in row-major float64; vectors are
 explicit ``numpy.random.Generator`` created by :func:`seeded_rng`, which pins
 the PCG64 bit generator so a given seed produces the same stream everywhere.
 
-Orthogonalization is modified Gram-Schmidt with a second pass, stated once in
-two steps: orthonormalize one column into a list, and project a candidate off
-the list, redrawing it while it is degenerate. ``gram_schmidt_extend`` serves
-a basis that changes between calls, so it rebuilds the list from every basis
-column. ``orthonormal_columns`` builds a whole factor and keeps the list from
-one column to the next, orthonormalizing each new column into it once; both
-give the same bits for the same columns and draws.
+Orthogonalization comes in two forms that share one redraw loop: a candidate
+is projected off an orthonormal set twice and redrawn while its residual is
+degenerate. ``gram_schmidt_extend`` serves a basis that changes between calls
+(rank expansion), so it orthonormalizes the whole basis with one Householder
+QR and projects with two matrix passes. ``orthonormal_columns`` builds a whole
+factor column by column with modified Gram-Schmidt, keeping the orthonormal
+list from one column to the next. The two forms agree to rounding, not bit
+for bit; the teacher factors' bits are pinned, so the teacher keeps the
+Gram-Schmidt build.
 
 Matrix CSV lines hold one row each, values separated by commas, each value
 formatted with ``repr`` so the round trip is exact at the bit level.
@@ -96,12 +98,13 @@ def _orthonormalize_into(ortho, col, tol):
         ortho.append(w / norm)
 
 
-def _project_off(ortho, candidate, rng, tol, max_retries):
-    """Unit vector orthogonal to the orthonormal list, from ``candidate`` or,
-    while the residual norm falls below ``tol``, fresh Gaussian draws."""
+def _project_off(project, candidate, rng, tol, max_retries):
+    """Unit vector from ``candidate`` after ``project`` removes its components
+    along an orthonormal set in place; while the residual norm falls below
+    ``tol``, fresh Gaussian draws replace the candidate."""
     w = candidate.astype(np.float64, copy=True)
     for _ in range(max_retries):
-        _project_twice(w, ortho)
+        project(w)
         norm = float(np.linalg.norm(w))
         if norm >= tol:
             return w / norm
@@ -111,21 +114,43 @@ def _project_off(ortho, candidate, rng, tol, max_retries):
     )
 
 
+def _orthonormal_span(b, tol):
+    """Orthonormal columns spanning ``b``'s columns, each column dropped that
+    lies within ``tol * max(1, |b_j|)`` of the kept columns before it.
+
+    ``|R_jj|`` of a Householder QR is column j's distance from the span of
+    the columns before it only while none of them was dropped: a dropped
+    column's Q direction lies outside the basis's span, and later columns
+    may have components along it. So the first dropped column is removed and
+    the rest factored again, which for a full-rank basis is one QR.
+    """
+    floor = tol * np.maximum(1.0, np.linalg.norm(b, axis=0))
+    while True:
+        q, r = np.linalg.qr(b)
+        dropped = np.flatnonzero(np.abs(np.diagonal(r)) <= floor)
+        if dropped.size == 0:
+            return q
+        b = np.delete(b, dropped[0], axis=1)
+        floor = np.delete(floor, dropped[0])
+
+
 def gram_schmidt_extend(
     basis, candidate, rng, tol=_GS_TOL, max_retries=_GS_MAX_RETRIES
 ):
     """Unit vector orthogonal to every column of ``basis``.
 
-    The basis columns are first orthonormalized internally (modified
-    Gram-Schmidt with one reorthogonalization pass, so conditioning does not
-    matter; zero or dependent columns drop out). The candidate is then
-    projected off that orthonormal set twice, which pins the leak at machine
-    precision. A candidate whose residual norm falls below ``tol`` is
-    replaced by a fresh Gaussian draw from ``rng``; after ``max_retries``
-    failed candidates the input is declared degenerate.
+    The basis columns are first orthonormalized by Householder QR (zero or
+    dependent columns drop out, so conditioning does not matter). The
+    candidate is then projected off that orthonormal set twice, which pins
+    the leak at machine precision. A candidate whose residual norm falls
+    below ``tol`` is replaced by a fresh Gaussian draw of length ``rows``
+    from ``rng``; after ``max_retries`` failed candidates the input is
+    declared degenerate.
 
-    Raises RankFullError when the basis has as many columns as rows, and
-    DegenerateInputError when no candidate survives.
+    Raises RankFullError when the basis has as many columns as rows,
+    ShapeError on a candidate of the wrong length, ParameterError on a
+    non-finite basis or candidate, and DegenerateInputError when no
+    candidate survives.
     """
     b = _as_2d(basis, "basis")
     rows, cols = b.shape
@@ -136,21 +161,27 @@ def gram_schmidt_extend(
     v = np.asarray(candidate, dtype=np.float64).reshape(-1)
     if v.shape[0] != rows:
         raise ShapeError(f"candidate length {v.shape[0]} != basis rows {rows}")
-    ortho = []
-    for j in range(cols):
-        _orthonormalize_into(ortho, b[:, j], tol)
-    return _project_off(ortho, v, rng, tol, max_retries)
+    if not (np.isfinite(b).all() and np.isfinite(v).all()):
+        raise ParameterError("basis and candidate must be finite")
+    u = _orthonormal_span(b, tol)
+
+    def project(w):
+        for _ in range(2):
+            w -= u @ (u.T @ w)
+
+    return _project_off(project, v, rng, tol, max_retries)
 
 
 def orthonormal_columns(dim, k, rng):
     """``dim``-by-``k`` matrix of orthonormal columns drawn from ``rng``.
 
-    Column j projects a Gaussian candidate off columns 0..j-1, exactly as
-    ``gram_schmidt_extend`` would with those columns as its basis, and gives
-    the same bits and the same draws. Because column j's orthonormalized form
-    depends only on columns 0..j, the orthonormal list is kept from one column
-    to the next and each column is orthonormalized into it once: O(k^2 * dim)
-    for the factor rather than O(k^3 * dim).
+    Column j projects a Gaussian candidate off columns 0..j-1 by modified
+    Gram-Schmidt with a second pass, redrawing degenerate candidates as
+    ``gram_schmidt_extend`` does. Because column j's orthonormalized form
+    depends only on columns 0..j, the orthonormal list is kept from one
+    column to the next and each column is orthonormalized into it once:
+    O(k^2 * dim) for the factor. The teacher factors are built here, and
+    their bits are pinned, so this arithmetic must not change.
 
     Raises RankFullError when ``k`` exceeds ``dim``, and DegenerateInputError
     when no candidate survives.
@@ -159,9 +190,13 @@ def orthonormal_columns(dim, k, rng):
         raise RankFullError(f"{k} orthonormal columns do not fit in R^{dim}")
     ortho = []
     out = np.empty((dim, k))
+
+    def project(w):
+        _project_twice(w, ortho)
+
     for j in range(k):
         candidate = rng.standard_normal(dim)
-        col = _project_off(ortho, candidate, rng, _GS_TOL, _GS_MAX_RETRIES)
+        col = _project_off(project, candidate, rng, _GS_TOL, _GS_MAX_RETRIES)
         out[:, j] = col
         if j < k - 1:
             _orthonormalize_into(ortho, col, _GS_TOL)

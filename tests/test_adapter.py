@@ -301,6 +301,12 @@ class TestPrune:
             assert shift <= bound * (1 + 1e-12) + 1e-15
 
 
+def assert_orthogonal_to_columns(old, new):
+    """|old_jᵀ new| <= 1e-12 relative to each old column's norm (at least 1)."""
+    bound = 1e-12 * np.maximum(1.0, np.linalg.norm(old, axis=0))
+    assert np.all(np.abs(old.T @ new) <= bound)
+
+
 class TestExpand:
     def test_zero_impact_is_bitwise_invariant(self, rng):
         a = make_adapter(rng)
@@ -340,8 +346,8 @@ class TestExpand:
         assert a.lam[-1] == 1e-4
         assert abs(np.linalg.norm(p_new) - 1.0) < 1e-12
         assert abs(np.linalg.norm(q_new) - 1.0) < 1e-12
-        assert np.max(np.abs(old_p.T @ p_new)) < 1e-9
-        assert np.max(np.abs(old_q @ q_new)) < 1e-9
+        assert_orthogonal_to_columns(old_p, p_new)
+        assert_orthogonal_to_columns(old_q.T, q_new)
         shift = np.linalg.norm(a.forward(x) - before)
         assert shift <= a.scale * 1e-4 * np.linalg.norm(x) * (1 + 1e-12)
 
@@ -349,9 +355,14 @@ class TestExpand:
         a = make_adapter(rng)
         x = rng.standard_normal((a.d_in, 4))
         before = a.forward(x)
+        old_p, old_q = a.p.copy(), a.q.copy()
         a.expand_rank(InitStrategy("orthogonal_init"), rng)
+        p_new, q_new = a.p[:, -1], a.q[-1, :]
         assert a.lam[-1] == 0.0
-        assert abs(np.linalg.norm(a.p[:, -1]) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(p_new) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(q_new) - 1.0) < 1e-12
+        assert_orthogonal_to_columns(old_p, p_new)
+        assert_orthogonal_to_columns(old_q.T, q_new)
         assert np.array_equal(a.forward(x), before)
 
     def test_max_rank_guard(self, rng):

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import stat
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from rankflex.allocator import BudgetSchedule
 from rankflex.checkpoint import load_checkpoint
 from rankflex.cli import OUTPUT_DIR_ENV, main
-from rankflex.config import parse_config
+from rankflex.config import config_to_json, parse_config
 from rankflex.importance import (
     elem_energy_entropy,
     frobenius_mean,
@@ -498,4 +499,116 @@ class TestFuzz:
         elif target != "missing":
             path.write_bytes(target)
         assert main([command, str(path)]) in (0, 1, 2, 3)
+        capsys.readouterr()
+
+
+def tiny_config():
+    """A valid config whose every field is spelled out (the effective-config
+    echo of a minimal one), with sizes so small that any mutant that still
+    parses trains in milliseconds."""
+    return config_to_json(parse_config({
+        "name": "fz", "seed": 5,
+        "model": {"layers": [
+            {"type": "linear", "d_in": 4, "d_out": 3,
+             "adapter": {"id": "a", "r_init": 1, "r_max": 3}},
+            {"type": "tanh"},
+            {"type": "linear", "d_in": 3, "d_out": 2,
+             "adapter": {"id": "b", "r_init": 1, "r_max": 2}},
+        ]},
+        "task": {"kind": "low_rank_teacher", "input_dim": 4, "sample_count": 8,
+                 "noise_std": 0.05, "teacher_ranks": [2, 1]},
+        "schedule": {"b0": 2, "t_warmup": 2, "t_final": 2, "total_steps": 12,
+                     "delta_t": 2},
+        "init_strategy": {"variant": "orthogonal_init"}, "mode": "expand_only",
+        "batch_size": 4, "log_every": 4,
+    }))
+
+
+def field_paths(obj, prefix=()):
+    """Every dict key and list index in ``obj``, containers included."""
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    paths = []
+    for key, value in items:
+        paths.append(prefix + (key,))
+        paths.extend(field_paths(value, prefix + (key,)))
+    return paths
+
+
+# JSON texts written in place of one field; 1e400 parses to infinity.
+EDGE_VALUES = ("0", "-1", "1e400", '"x"', "null", "[]", "{}")
+_SENTINEL = "\x00edge"
+
+
+def with_edge_value(obj, path, edge):
+    """JSON text of ``obj`` with the field at ``path`` replaced by ``edge``,
+    or removed when ``edge`` is None."""
+    obj = copy.deepcopy(obj)
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    if edge is None:
+        del target[path[-1]]
+        return json.dumps(obj)
+    target[path[-1]] = _SENTINEL
+    return json.dumps(obj).replace(json.dumps(_SENTINEL), edge)
+
+
+@pytest.fixture(scope="module")
+def tiny_trace_lines(tmp_path_factory):
+    work = tmp_path_factory.mktemp("tiny")
+    cfg = work / "config.json"
+    cfg.write_text(json.dumps(dict(tiny_config(), output_dir=str(work / "out"))))
+    assert main(["train", str(cfg)]) == 0
+    lines = (work / "out" / "trace.jsonl").read_text().splitlines()
+    assert len(lines) >= 2, "expected at least one event"
+    return lines
+
+
+class TestStructuredFuzz:
+    """A valid config, override or trace with one field mutated to an edge
+    value never escapes the documented exit codes 0-3."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_config_or_override(self, tmp_path, monkeypatch, capsys, data):
+        raw = tiny_config()
+        path = data.draw(st.sampled_from(field_paths(raw)), label="path")
+        edge = data.draw(st.sampled_from(EDGE_VALUES + (None,)), label="edge")
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        monkeypatch.chdir(work)
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(work / "out"))
+        cfg = work / "config.json"
+        if edge is not None and data.draw(st.booleans(), label="as override"):
+            cfg.write_text(json.dumps(raw))
+            overrides = [".".join(map(str, path)) + "=" + edge]
+        else:
+            cfg.write_text(with_edge_value(raw, path, edge))
+            overrides = []
+        assert main(["train", str(cfg), *overrides]) in (0, 1, 2, 3)
+        capsys.readouterr()
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_trace(self, tmp_path, capsys, tiny_trace_lines, data):
+        lines = list(tiny_trace_lines)
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        record = json.loads(lines[i])
+        how = data.draw(st.sampled_from(["field", "line", "drop", "repeat"]), label="how")
+        if how == "field":
+            path = data.draw(st.sampled_from(field_paths(record)), label="path")
+            edge = data.draw(st.sampled_from(EDGE_VALUES + (None,)), label="edge")
+            lines[i] = with_edge_value(record, path, edge)
+        elif how == "line":
+            lines[i] = data.draw(st.sampled_from(EDGE_VALUES), label="edge")
+        elif how == "drop":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+        trace = Path(tempfile.mkdtemp(dir=tmp_path)) / "trace.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        assert main(["replay-verify", str(trace)]) in (0, 1, 2, 3)
+        assert main(["export-heatmap", str(trace)]) in (0, 1, 2, 3)
         capsys.readouterr()

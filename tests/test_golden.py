@@ -111,9 +111,9 @@ PINNED = {
             "41b2ac0c33b1e98b1a53a6ccaa6e39dca68c16519f1b812bca1a28d4d599ed85",
         ),
         "churn": (
-            "21b0c19d4fdf4968ccce6a3c4fafa38757da36d317b9e2490d51f9c9c85fdbb0",
-            "b7ea8d717f42897e86112dad99a1d47486d3714c2e55dc435e8f55c4b169e488",
-            "d6efcc3c1230283570b0097d2d0e216e9aae26a40d86adc21932a11bc1d004c6",
+            "9d12d7b195cf276ced57ab868110f0e3a3f6b672372502f19a32629cf945c625",
+            "83bb2227f4642a805fa2910b92a598d42d8508989535ad7a7303b8b46e0c5862",
+            "ebe86aa9a426583a0001c9798609e78e3dba205c6bd6713959b0f71b1ba8d7dd",
         ),
         "wide_short": (
             "0a1c2aab52891873dd8092cf563c459bc645d298a017134ef6f06c7d80e9b972",

@@ -110,6 +110,27 @@ class TestGramSchmidtExtend:
         b = gram_schmidt_extend(basis, np.zeros(7), seeded_rng(3))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["basis", "candidate"])
+    def test_nonfinite_input_rejected(self, rng, where, bad):
+        basis, candidate = rng.standard_normal((6, 3)), rng.standard_normal(6)
+        if where == "basis":
+            basis[2, 1] = bad
+        else:
+            candidate[4] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            gram_schmidt_extend(basis, candidate, rng)
+
+    @pytest.mark.parametrize("middle", ["zero", "duplicate"])
+    def test_dependent_column_before_an_independent_one(self, rng, middle):
+        # Householder QR gives a dropped column a Q direction outside the
+        # basis's span, and the third column has a component along it.
+        a, c = rng.standard_normal(6), rng.standard_normal(6)
+        basis = np.stack([a, np.zeros(6) if middle == "zero" else a, c], axis=1)
+        v = gram_schmidt_extend(basis, rng.standard_normal(6), rng)
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        assert np.max(np.abs(basis.T @ v)) <= 1e-12 * np.linalg.norm(c)
+
     def test_degenerate_gives_up(self):
         class ZeroRng:
             def standard_normal(self, n):
@@ -131,6 +152,68 @@ class ScriptedRng:
     def standard_normal(self, n):
         self.draws.append(n)
         return self.script.pop(0) if self.script else self.rest.standard_normal(n)
+
+
+class TestGramSchmidtExtendProperties:
+    """Tolerance oracles over random bases with zero, duplicated (scaled
+    copies of earlier columns) and rescaled columns injected."""
+
+    KINDS = ("gaussian", "zero", "copy", "rescaled")
+    FACTORS = (1e-8, 1e-3, -1.0, 2.0, 1e3, 1e8)
+
+    @classmethod
+    def draw_case(cls, data, rows, seed):
+        cols = data.draw(st.integers(0, rows - 1), label="cols")
+        gen = seeded_rng(seed)
+        basis = gen.standard_normal((rows, cols))
+        for j in range(cols):
+            kind = data.draw(st.sampled_from(cls.KINDS))
+            factor = data.draw(st.sampled_from(cls.FACTORS))
+            if kind == "zero":
+                basis[:, j] = 0.0
+            elif kind == "copy" and j:
+                basis[:, j] = factor * basis[:, data.draw(st.integers(0, j - 1))]
+            elif kind == "rescaled":
+                basis[:, j] *= factor
+        return basis, gen
+
+    @staticmethod
+    def in_span(basis, gen):
+        """A combination of the columns small enough that its residual off
+        their span is rounding, far below the redraw floor."""
+        weights = gen.standard_normal(basis.shape[1])
+        return basis @ (weights / np.maximum(1.0, np.linalg.norm(basis, axis=0)))
+
+    @staticmethod
+    def assert_unit_and_orthogonal(basis, v):
+        assert v.shape == (basis.shape[0],)
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+        bound = 1e-12 * np.maximum(1.0, np.linalg.norm(basis, axis=0))
+        assert np.all(np.abs(basis.T @ v) <= bound)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(2, 48), data=st.data(), seed=st.integers(0, 2**63))
+    def test_unit_orthogonal_and_reproducible(self, rows, data, seed):
+        basis, gen = self.draw_case(data, rows, seed)
+        candidate = gen.standard_normal(rows)
+        got_rng, again_rng = seeded_rng(seed), seeded_rng(seed)
+        v = gram_schmidt_extend(basis, candidate, got_rng)
+        self.assert_unit_and_orthogonal(basis, v)
+        assert np.array_equal(v, gram_schmidt_extend(basis, candidate, again_rng))
+        assert got_rng.bit_generator.state == again_rng.bit_generator.state
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(2, 48), data=st.data(), seed=st.integers(0, 2**63))
+    def test_degenerate_candidates_redrawn_then_given_up(self, rows, data, seed):
+        basis, gen = self.draw_case(data, rows, seed)
+        scripted = ScriptedRng([self.in_span(basis, gen)])
+        v = gram_schmidt_extend(basis, self.in_span(basis, gen), scripted)
+        self.assert_unit_and_orthogonal(basis, v)
+        assert scripted.draws == [rows, rows]
+        scripted = ScriptedRng([self.in_span(basis, gen) for _ in range(8)])
+        with pytest.raises(DegenerateInputError):
+            gram_schmidt_extend(basis, self.in_span(basis, gen), scripted)
+        assert scripted.draws == [rows] * 8
 
 
 def assert_same_bits(a, b):
