@@ -87,36 +87,36 @@ def _project_twice(w, ortho):
             w -= (w @ u) * u
 
 
-def _orthonormalize_into(ortho, col, tol):
+def _orthonormalize_into(ortho, col):
     """Append ``col``'s normalized component orthogonal to ``ortho`` to the
     list, unless it is zero or dependent on the list."""
     w = col.astype(np.float64, copy=True)
     _project_twice(w, ortho)
     norm = float(np.linalg.norm(w))
     # Dropping a dependent column only widens the complement.
-    if norm > tol * max(1.0, float(np.linalg.norm(col))):
+    if norm > _GS_TOL * max(1.0, float(np.linalg.norm(col))):
         ortho.append(w / norm)
 
 
-def _project_off(project, candidate, rng, tol, max_retries):
+def _project_off(project, candidate, rng):
     """Unit vector from ``candidate`` after ``project`` removes its components
     along an orthonormal set in place; while the residual norm falls below
-    ``tol``, fresh Gaussian draws replace the candidate."""
+    ``_GS_TOL``, fresh Gaussian draws replace the candidate."""
     w = candidate.astype(np.float64, copy=True)
-    for _ in range(max_retries):
+    for _ in range(_GS_MAX_RETRIES):
         project(w)
         norm = float(np.linalg.norm(w))
-        if norm >= tol:
+        if norm >= _GS_TOL:
             return w / norm
         w = rng.standard_normal(w.shape[0])
     raise DegenerateInputError(
-        f"no orthogonal direction found after {max_retries} candidates"
+        f"no orthogonal direction found after {_GS_MAX_RETRIES} candidates"
     )
 
 
-def _orthonormal_span(b, tol):
+def _orthonormal_span(b):
     """Orthonormal columns spanning ``b``'s columns, each column dropped that
-    lies within ``tol * max(1, |b_j|)`` of the kept columns before it.
+    lies within ``_GS_TOL * max(1, |b_j|)`` of the kept columns before it.
 
     ``|R_jj|`` of a Householder QR is column j's distance from the span of
     the columns before it only while none of them was dropped: a dropped
@@ -124,7 +124,7 @@ def _orthonormal_span(b, tol):
     may have components along it. So the first dropped column is removed and
     the rest factored again, which for a full-rank basis is one QR.
     """
-    floor = tol * np.maximum(1.0, np.linalg.norm(b, axis=0))
+    floor = _GS_TOL * np.maximum(1.0, np.linalg.norm(b, axis=0))
     while True:
         q, r = np.linalg.qr(b)
         dropped = np.flatnonzero(np.abs(np.diagonal(r)) <= floor)
@@ -134,18 +134,16 @@ def _orthonormal_span(b, tol):
         floor = np.delete(floor, dropped[0])
 
 
-def gram_schmidt_extend(
-    basis, candidate, rng, tol=_GS_TOL, max_retries=_GS_MAX_RETRIES
-):
+def gram_schmidt_extend(basis, candidate, rng):
     """Unit vector orthogonal to every column of ``basis``.
 
     The basis columns are first orthonormalized by Householder QR (zero or
     dependent columns drop out, so conditioning does not matter). The
     candidate is then projected off that orthonormal set twice, which pins
     the leak at machine precision. A candidate whose residual norm falls
-    below ``tol`` is replaced by a fresh Gaussian draw of length ``rows``
-    from ``rng``; after ``max_retries`` failed candidates the input is
-    declared degenerate.
+    below ``_GS_TOL`` is replaced by a fresh Gaussian draw of length
+    ``rows`` from ``rng``; after ``_GS_MAX_RETRIES`` failed candidates the
+    input is declared degenerate.
 
     Raises RankFullError when the basis has as many columns as rows,
     ShapeError on a candidate of the wrong length, ParameterError on a
@@ -163,13 +161,13 @@ def gram_schmidt_extend(
         raise ShapeError(f"candidate length {v.shape[0]} != basis rows {rows}")
     if not (np.isfinite(b).all() and np.isfinite(v).all()):
         raise ParameterError("basis and candidate must be finite")
-    u = _orthonormal_span(b, tol)
+    u = _orthonormal_span(b)
 
     def project(w):
         for _ in range(2):
             w -= u @ (u.T @ w)
 
-    return _project_off(project, v, rng, tol, max_retries)
+    return _project_off(project, v, rng)
 
 
 def orthonormal_columns(dim, k, rng):
@@ -196,10 +194,10 @@ def orthonormal_columns(dim, k, rng):
 
     for j in range(k):
         candidate = rng.standard_normal(dim)
-        col = _project_off(project, candidate, rng, _GS_TOL, _GS_MAX_RETRIES)
+        col = _project_off(project, candidate, rng)
         out[:, j] = col
         if j < k - 1:
-            _orthonormalize_into(ortho, col, _GS_TOL)
+            _orthonormalize_into(ortho, col)
     return out
 
 
