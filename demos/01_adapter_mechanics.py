@@ -23,7 +23,8 @@ same = np.array_equal(adapter.forward(x), base @ x)
 print(f"lam starts at zero, so forward == base @ x exactly: {same}")
 
 adapter.lam[:] = [0.9, -0.4, 0.05]
-delta = adapter.delta_weight()
+# The update the forward pass applies without ever materializing it.
+delta = adapter.scale * (adapter.p @ np.diag(adapter.lam) @ adapter.q)
 print("\n== after giving the three directions weight ==")
 print(f"lam = {adapter.lam}")
 print(f"||delta||_F = {np.linalg.norm(delta):.6f}")

@@ -154,13 +154,6 @@ class SvdAdapter:
         """Forward scaling alpha / r_init; fixed for the adapter's lifetime."""
         return self.alpha / self.r_init
 
-    def param_count(self):
-        return int(self.p.size + self.lam.size + self.q.size)
-
-    def delta_weight(self):
-        """Materialized update (alpha/r_init) * P diag(lam) Q, for inspection."""
-        return self.scale * (self.p @ (self.lam[:, None] * self.q))
-
     # -- forward and backward ----------------------------------------------
 
     def forward(self, x):

@@ -20,13 +20,12 @@ import numpy as np
 from .adapter import SvdAdapter
 from .errors import ParseError, read_text
 from .linalg import matrix_from_csv_lines, matrix_to_csv_lines
-from .model import LOSS_KINDS, ActivationLayer, LinearLayer, ToyModel
+from .model import ACTIVATION_KINDS, LOSS_KINDS, ActivationLayer, LinearLayer, ToyModel
 
 __all__ = [
     "adapter_record_lines",
     "checkpoint_lines",
     "parse_checkpoint_lines",
-    "save_checkpoint",
     "load_checkpoint",
 ]
 
@@ -241,7 +240,7 @@ def _parse_model(reader):
         if len(parts) < 3 or parts[0] != "layer" or int(parts[1]) != i:
             raise ParseError(f"line {reader.last}: expected header for layer {i}")
         kind = parts[2]
-        if kind in ("tanh", "relu"):
+        if kind in ACTIVATION_KINDS:
             layers.append(ActivationLayer(kind))
             continue
         if kind != "linear":
@@ -265,11 +264,6 @@ def _parse_model(reader):
     if reader.pos != len(reader.lines):
         raise ParseError(f"line {reader.number(reader.pos)}: trailing content after last layer")
     return ToyModel(layers, loss)
-
-
-def save_checkpoint(model, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(checkpoint_lines(model)) + "\n")
 
 
 def load_checkpoint(path):

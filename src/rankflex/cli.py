@@ -149,12 +149,9 @@ def _load_spectrum_csv(path):
 
 def cmd_importance(args):
     values = _load_spectrum_csv(args.spectrum)
-    eps = args.epsilon
-    if not eps > 0.0:
-        raise ParameterError("epsilon must be positive")
-    for name, fn in SPECTRUM_METRICS.items():
-        print(f"{name} {fn(values, eps):#.12g}")
-    print("sensitivity n/a")
+    # Score everything before printing, so a bad epsilon prints no line.
+    lines = [f"{name} {fn(values, args.epsilon):#.12g}" for name, fn in SPECTRUM_METRICS.items()]
+    print("\n".join(lines + ["sensitivity n/a"]))
     flag = spectrum_flag(values)
     if flag is not None:
         print(f"flag {flag}")

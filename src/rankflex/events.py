@@ -53,14 +53,22 @@ class AllocationEvent:
 
     @classmethod
     def from_json(cls, obj):
+        """Inverse of ``to_json``: each field must have the JSON type that
+        ``to_json`` writes, or ParameterError names the field."""
+        for key, types in _EXPAND_TYPES if obj["action"] == "expand" else _PRUNE_TYPES:
+            if type(obj[key]) not in types:
+                raise ParameterError(f"{key} {obj[key]!r} has type {type(obj[key]).__name__}")
         score = obj["score"]
-        return cls(
-            step=int(obj["step"]),
-            adapter_id=str(obj["adapter_id"]),
-            action=str(obj["action"]),
-            rank_before=int(obj["rank_before"]),
-            rank_after=int(obj["rank_after"]),
-            score=math.nan if score is None else float(score),
-            detail=obj["detail"],
-            index=int(obj["index"]),
-        )
+        return cls(obj["step"], obj["adapter_id"], obj["action"], obj["rank_before"],
+                   obj["rank_after"], math.nan if score is None else float(score),
+                   obj["detail"], obj["index"])
+
+
+# (field, JSON types) as ``to_json`` writes them: ``detail`` is a number for a
+# prune, a string for an expand. Exact type tests keep bool (an int) out.
+_NUMBER = (float, int)
+_FIELD_TYPES = (("step", (int,)), ("adapter_id", (str,)), ("action", (str,)),
+                ("rank_before", (int,)), ("rank_after", (int,)),
+                ("score", _NUMBER + (type(None),)), ("index", (int,)))
+_PRUNE_TYPES = _FIELD_TYPES + (("detail", _NUMBER),)
+_EXPAND_TYPES = _FIELD_TYPES + (("detail", (str,)),)

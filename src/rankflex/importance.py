@@ -38,7 +38,6 @@ __all__ = [
     "sensitivity_update",
     "spectrum_flag",
     "SPECTRUM_METRICS",
-    "matrix_score",
     "score_all",
 ]
 
@@ -71,8 +70,7 @@ class MetricKind:
     def __post_init__(self):
         if self.variant not in METRIC_VARIANTS:
             raise ParameterError(f"unknown metric variant {self.variant!r}")
-        if not self.epsilon > 0.0:
-            raise ParameterError("epsilon must be positive")
+        _check_epsilon(self.epsilon)
         for name in ("beta1", "beta2"):
             b = getattr(self, name)
             if not 0.0 < b < 1.0:
@@ -105,6 +103,11 @@ class ImportanceReport:
     flags: dict[str, str] = field(default_factory=dict)
 
 
+def _check_epsilon(epsilon):
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ParameterError(f"epsilon must be finite and positive, got {epsilon}")
+
+
 def _values(lam):
     v = np.asarray(lam, dtype=np.float64).reshape(-1)
     if v.size < 1:
@@ -132,9 +135,8 @@ def spectral_entropy(lam, epsilon=EPSILON_DEFAULT):
     is clamped below at 0: a fully concentrated spectrum would otherwise land
     an epsilon-sized hair under zero.
     """
+    _check_epsilon(epsilon)
     v = _values(lam)
-    if not epsilon > 0.0:
-        raise ParameterError("epsilon must be positive")
     r = v.size
     if r == 1:
         return 0.0
@@ -161,6 +163,7 @@ def frobenius_mean(lam):
 
 def elem_energy_entropy(lam, epsilon=EPSILON_DEFAULT):
     """Entropy variant weighting each term by its own singular value."""
+    _check_epsilon(epsilon)
     v = _values(lam)
     r = v.size
     if r == 1:
@@ -176,6 +179,7 @@ def elem_energy_entropy(lam, epsilon=EPSILON_DEFAULT):
 
 def mat_energy_entropy(lam, epsilon=EPSILON_DEFAULT):
     """Entropy variant scaling the whole sum by the summed singular values."""
+    _check_epsilon(epsilon)
     v = _values(lam)
     r = v.size
     if r == 1:
@@ -233,15 +237,6 @@ SPECTRUM_METRICS = {
 }
 
 
-def matrix_score(lam, metric, state=None):
-    """Score one adapter's spectrum under ``metric``."""
-    if metric.variant == "sensitivity":
-        if state is None:
-            raise ParameterError("sensitivity scoring requires per-adapter state")
-        return state.score
-    return SPECTRUM_METRICS[metric.variant](lam, metric.epsilon)
-
-
 def score_all(adapters, metric, states=None, step=0):
     """Score every adapter; exactly one entry per registered adapter.
 
@@ -258,10 +253,13 @@ def score_all(adapters, metric, states=None, step=0):
     for a in sorted(adapters, key=lambda a: a.id):
         if a.id in scores:
             raise ConfigError(f"adapters: duplicate id {a.id!r}")
-        state = states.get(a.id)
-        if metric.variant == "sensitivity" and state is None:
-            raise ParameterError(f"missing sensitivity state for adapter {a.id!r}")
-        scores[a.id] = float(matrix_score(a.lam, metric, state))
+        if metric.variant == "sensitivity":
+            state = states.get(a.id)
+            if state is None:
+                raise ParameterError(f"missing sensitivity state for adapter {a.id!r}")
+            scores[a.id] = float(state.score)
+        else:
+            scores[a.id] = float(SPECTRUM_METRICS[metric.variant](a.lam, metric.epsilon))
         flag = spectrum_flag(a.lam)
         if flag is not None:
             flags[a.id] = flag

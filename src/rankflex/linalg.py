@@ -2,8 +2,8 @@
 
 Matrices are plain ``numpy.ndarray`` objects in row-major float64; vectors are
 1-D arrays. Nothing here mutates its inputs. Randomness always flows through an
-explicit ``numpy.random.Generator`` created by :func:`seeded_rng`, which pins
-the PCG64 bit generator so a given seed produces the same stream everywhere.
+explicit ``numpy.random.Generator``; :func:`split_rng` spawns a run's
+independent streams from its seed.
 
 Orthogonalization comes in two forms that share one redraw loop: a candidate
 is projected off an orthonormal set twice and redrawn while its residual is
@@ -32,7 +32,6 @@ from .errors import (
 )
 
 __all__ = [
-    "seeded_rng",
     "split_rng",
     "gaussian_matrix",
     "gram_schmidt_extend",
@@ -40,11 +39,6 @@ __all__ = [
     "matrix_to_csv_lines",
     "matrix_from_csv_lines",
 ]
-
-
-def seeded_rng(seed):
-    """Return a PCG64 generator for ``seed``."""
-    return np.random.default_rng(np.random.SeedSequence(seed))
 
 
 def split_rng(seed, n):

@@ -181,13 +181,6 @@ class ToyModel:
         self.layers = layers
         self.loss = loss
 
-    @property
-    def input_dim(self):
-        for layer in self.layers:
-            if isinstance(layer, LinearLayer):
-                return layer.d_in
-        raise ParameterError("model has no linear layer")
-
     def adapters(self):
         """Adapters in depth order."""
         return [l.adapter for l in self.layers if isinstance(l, LinearLayer) and l.adapter is not None]
@@ -276,14 +269,6 @@ class ToyModel:
             (dp, dlam, dq), g = a.backward(x, g, gamma)
             grads.update({f"{a.id}.p": dp, f"{a.id}.lam": dlam, f"{a.id}.q": dq})
         return grads
-
-    def objective(self, x, targets, gamma=0.0):
-        """Scalar training objective: task loss + gamma * summed penalties."""
-        y, _ = self.forward(x)
-        loss, _ = self.loss_and_grad(y, targets)
-        if gamma > 0.0:
-            loss += gamma * sum(a.ortho_regularizer() for a in self.adapters())
-        return loss
 
 
 def build_model(layer_specs, loss, rng, init_std=0.02):

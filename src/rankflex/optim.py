@@ -13,9 +13,8 @@ them. A step gathers the gradients into one buffer and updates both moments
 with whole-buffer ufuncs in the per-array operation order, so each element
 is rounded exactly as a per-parameter loop would round it. The buffers are
 re-packed when the ``(name, shape)`` layout of the parameters differs from
-the packed one: on the first step, after ``prune_direction`` or
-``expand_direction`` (which replace a name's views with resized arrays),
-and when a new name appears.
+the packed one: on the first step, after ``sync_rank_change`` (which
+replaces a name's views with resized arrays), and when a new name appears.
 """
 
 from __future__ import annotations
@@ -122,34 +121,18 @@ class AdamW:
         self._upd_views = [self._upd[a:b].reshape(shape) for a, b, shape in spans]
         self._layout = layout
 
-    def prune_direction(self, name, index, axis):
-        """Delete one slice of the moment buffers after a rank prune."""
-        st = self.state.get(name)
-        if st is None:
-            return
-        st["m"] = np.delete(st["m"], index, axis=axis)
-        st["v"] = np.delete(st["v"], index, axis=axis)
-        self._layout = None
-
-    def expand_direction(self, name, axis):
-        """Append a zero slice to the moment buffers after an expansion."""
-        st = self.state.get(name)
-        if st is None:
-            return
-        for key in ("m", "v"):
-            shape = list(st[key].shape)
-            shape[axis] = 1
-            st[key] = np.concatenate([st[key], np.zeros(shape)], axis=axis)
-        self._layout = None
-
     def sync_rank_change(self, event):
-        """Apply one AllocationEvent to the three factor buffers."""
-        base = event.adapter_id
-        if event.action == "prune":
-            self.prune_direction(f"{base}.p", event.index, axis=1)
-            self.prune_direction(f"{base}.lam", event.index, axis=0)
-            self.prune_direction(f"{base}.q", event.index, axis=0)
-        else:
-            self.expand_direction(f"{base}.p", axis=1)
-            self.expand_direction(f"{base}.lam", axis=0)
-            self.expand_direction(f"{base}.q", axis=0)
+        """Apply one AllocationEvent to the moments of the adapter's three
+        factors: a prune deletes the direction's slice, an expansion appends
+        a zero slice. Names without state yet are left alone."""
+        for suffix, axis in ((".p", 1), (".lam", 0), (".q", 0)):
+            st = self.state.get(event.adapter_id + suffix)
+            if st is None:
+                continue
+            for key in ("m", "v"):
+                if event.action == "prune":
+                    st[key] = np.delete(st[key], event.index, axis=axis)
+                else:
+                    zero = np.zeros(st[key].shape[:axis] + (1,) + st[key].shape[axis + 1:])
+                    st[key] = np.concatenate([st[key], zero], axis=axis)
+            self._layout = None

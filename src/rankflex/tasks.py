@@ -7,9 +7,9 @@ observation noise, so an adapter can close the gap exactly if and only if
 its rank reaches the teacher's. Each rank-k delta is a scaled product of two
 k-column orthonormal factors, each built in one incremental Gram-Schmidt pass
 (``linalg.orthonormal_columns``); the data set is drawn from the same
-generator afterwards. ``check_teacher_ranks`` states which ranks a model's
-adapted layers accept. The classification task is two separable Gaussian
-blobs.
+generator afterwards. The teacher keeps only the summed weights, not the
+deltas. ``check_teacher_ranks`` states which ranks a model's adapted layers
+accept. The classification task is two separable Gaussian blobs.
 
 Teachers are frozen at construction (they snapshot the base weights), so a
 fresh evaluation set can be sampled later against the same teacher.
@@ -17,7 +17,7 @@ fresh evaluation set can be sampled later against the same teacher.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,14 +74,9 @@ class SyntheticTask:
 
 @dataclass(frozen=True)
 class TeacherNet:
-    """Frozen reference network: (kind, weight-or-None) per layer.
-
-    ``deltas`` keeps the per-layer additive updates for rank verification
-    and for constructing a student that matches the teacher exactly.
-    """
+    """Frozen reference network: (kind, weight-or-None) per layer."""
 
     layers: tuple
-    deltas: dict[int, np.ndarray] = field(default_factory=dict)
 
     def forward(self, x):
         h = np.asarray(x, dtype=np.float64)
@@ -100,11 +95,10 @@ class TeacherNet:
 @dataclass(frozen=True)
 class Dataset:
     """Column-major inputs plus targets (matrix for regression, labels for
-    classification); carries its teacher when one exists."""
+    classification)."""
 
     inputs: np.ndarray
     targets: np.ndarray
-    teacher: TeacherNet | None = None
 
 
 def _rank_k_delta(d_out, d_in, k, scale, rng):
@@ -144,19 +138,16 @@ def build_teacher(model, task, rng):
     check_teacher_ranks(task.teacher_ranks, list(adapted.values()))
     ranks = dict(zip(adapted, task.teacher_ranks))
     layers = []
-    deltas = {}
     for i, layer in enumerate(model.layers):
         if isinstance(layer, ActivationLayer):
             layers.append((layer.kind, None))
             continue
         w = np.array(layer.base_w)
         if i in ranks:
-            delta = _rank_k_delta(layer.d_out, layer.d_in, ranks[i], task.teacher_scale, rng)
-            deltas[i] = delta
-            w = w + delta
+            w = w + _rank_k_delta(layer.d_out, layer.d_in, ranks[i], task.teacher_scale, rng)
         w.flags.writeable = False
         layers.append(("linear", w))
-    return TeacherNet(layers=tuple(layers), deltas=deltas)
+    return TeacherNet(layers=tuple(layers))
 
 
 def sample_regression(teacher, task, rng, sample_count=None, noise_std=None):
@@ -176,7 +167,7 @@ def sample_regression(teacher, task, rng, sample_count=None, noise_std=None):
     y = teacher.forward(x)
     if std > 0.0:
         y = y + std * rng.standard_normal(y.shape)
-    return Dataset(inputs=x, targets=y, teacher=teacher)
+    return Dataset(inputs=x, targets=y)
 
 
 def sample_blobs(task, rng):

@@ -1,4 +1,4 @@
-"""Allocation trace files: write, read, verify, and pivot to heatmaps.
+"""Allocation trace files: serialize, read, verify, and pivot to heatmaps.
 
 A trace is line-delimited JSON: one header record (seed, config hash,
 schedule, adapter roster), zero or more event records in application order,
@@ -22,10 +22,8 @@ from .events import AllocationEvent
 
 __all__ = [
     "trace_lines",
-    "write_trace",
     "read_trace",
     "verify_trace",
-    "heatmap_table",
     "heatmap_csv_lines",
 ]
 
@@ -42,14 +40,12 @@ def trace_lines(header, events, abort=None):
     return lines
 
 
-def write_trace(path, header, events, abort=None):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(trace_lines(header, events, abort)) + "\n")
-
-
 def _header_schedule(header):
-    s = header["schedule"]
-    return BudgetSchedule(**{f.name: int(s[f.name]) for f in fields(BudgetSchedule)})
+    values = {f.name: header["schedule"][f.name] for f in fields(BudgetSchedule)}
+    for name, value in values.items():
+        if type(value) is not int:
+            raise TraceError(f"{name} {value!r} has type {type(value).__name__}")
+    return BudgetSchedule(**values)
 
 
 def _is_roster(adapters):
@@ -189,36 +185,22 @@ def verify_trace(header, events, abort=None):
     return problems
 
 
-def heatmap_table(header, events):
-    """Pivot a trace into a rank-over-time table.
-
-    Returns (adapter_ids, column_labels, grid): one row per adapter in depth
-    order, first column the initial rank, then one column per step that saw
-    at least one event, holding each adapter's rank after that step.
-    """
+def heatmap_csv_lines(header, events):
+    """Pivot a trace into a rank-over-time CSV: one row per adapter in depth
+    order, holding its id, its initial rank (column "init") and its rank
+    after each step that saw an event (one column per such step)."""
     meta = sorted(header["adapters"], key=lambda m: m["depth"])
-    ids = [m["id"] for m in meta]
     ranks = {m["id"]: int(m["r_init"]) for m in meta}
+    rows = [[m["id"], str(ranks[m["id"]])] for m in meta]
     by_step = {}
     for e in events:
         by_step.setdefault(e.step, []).append(e)
     steps = sorted(by_step)
-    grid = {aid: [ranks[aid]] for aid in ids}
     for step in steps:
         for e in by_step[step]:
             if e.adapter_id not in ranks:
                 raise TraceError(f"event for unknown adapter {e.adapter_id!r}")
             ranks[e.adapter_id] = e.rank_after
-        for aid in ids:
-            grid[aid].append(ranks[aid])
-    labels = ["init"] + [str(s) for s in steps]
-    return ids, labels, [grid[aid] for aid in ids]
-
-
-def heatmap_csv_lines(header, events):
-    """CSV rendering of :func:`heatmap_table` (adapter id + rank columns)."""
-    ids, labels, grid = heatmap_table(header, events)
-    lines = [",".join(["adapter"] + labels)]
-    for aid, row in zip(ids, grid):
-        lines.append(",".join([aid] + [str(r) for r in row]))
-    return lines
+        for row in rows:
+            row.append(str(ranks[row[0]]))
+    return [",".join(["adapter", "init", *map(str, steps)])] + [",".join(row) for row in rows]

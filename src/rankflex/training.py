@@ -11,6 +11,8 @@ at allocation steps with nonzero budget — score, select, apply, and sync the
 optimizer state to the new ranks. The name-keyed parameter dict handed to the
 optimizer is collected before the first step and again after each such
 allocation step, the only place where arrays are replaced.
+The result keeps the teacher for held-out evaluation but not the training
+data set, which is freed when the run returns.
 """
 
 from __future__ import annotations
@@ -150,7 +152,6 @@ class TrainResult:
     events: list
     metrics: list
     final_loss: float
-    dataset: object = None
     teacher: object = None
     diverged: bool = False
     abort: dict | None = None
@@ -197,14 +198,11 @@ def _params_and_no_decay(model):
     return params, frozenset(k for k in params if k.endswith(".bias"))
 
 
-def run_training(config, observer=None):
+def run_training(config):
     """Execute one run; returns a TrainResult.
 
-    ``observer``, when given, is called as observer(step, phase, model, info)
-    with phase "pre_allocation" (info: prune/expand id lists and the report)
-    and "post_allocation" (info: applied events). Divergence raises
-    DivergenceError whose ``result`` still carries the partial trace with an
-    abort record appended.
+    Divergence raises DivergenceError whose ``result`` still carries the
+    partial trace with an abort record appended.
     """
     model_rng, task_rng, batch_rng, alloc_rng = split_rng(config.seed, 4)
 
@@ -235,7 +233,7 @@ def run_training(config, observer=None):
     def result(abort=None):
         return TrainResult(
             model=model, header=header, events=events, metrics=metrics,
-            final_loss=loss, dataset=dataset, teacher=teacher,
+            final_loss=loss, teacher=teacher,
             diverged=abort is not None, abort=abort,
         )
 
@@ -271,10 +269,6 @@ def run_training(config, observer=None):
             if b > 0:
                 report = score_all(adapters, config.metric, states, step=t)
                 prune_ids, expand_ids = select_candidates(report, adapters, b, config.mode)
-                if observer is not None:
-                    observer(t, "pre_allocation", model,
-                             {"prune": prune_ids, "expand": expand_ids, "report": report})
-                step_events = []
                 if prune_ids or expand_ids:
                     step_events = apply_allocation(
                         adapters, prune_ids, expand_ids, config.init_strategy,
@@ -283,8 +277,6 @@ def run_training(config, observer=None):
                     for event in step_events:
                         optimizer.sync_rank_change(event)
                     events.extend(step_events)
-                if observer is not None:
-                    observer(t, "post_allocation", model, {"events": step_events})
                 params, no_decay = _params_and_no_decay(model)
 
         if t % config.log_every == 0 or t == schedule.total_steps - 1:

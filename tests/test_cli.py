@@ -15,6 +15,7 @@ from rankflex.allocator import BudgetSchedule
 from rankflex.checkpoint import load_checkpoint
 from rankflex.cli import OUTPUT_DIR_ENV, main
 from rankflex.config import config_to_json, parse_config
+from rankflex.events import AllocationEvent
 from rankflex.importance import (
     elem_energy_entropy,
     frobenius_mean,
@@ -22,7 +23,7 @@ from rankflex.importance import (
     nuclear_mean,
     spectral_entropy,
 )
-from rankflex.trace import heatmap_csv_lines, read_trace, verify_trace
+from rankflex.trace import heatmap_csv_lines, read_trace, trace_lines, verify_trace
 
 
 @pytest.fixture(autouse=True)
@@ -340,6 +341,14 @@ class TestImportance:
         assert main(["importance", good, "--epsilon", "-1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("epsilon", ["inf", "-inf", "nan", "0", "-0.5"])
+    def test_bad_epsilon_exits_2_with_no_score(self, tmp_path, capsys, epsilon):
+        good = self.write_spectrum(tmp_path, "1,2\n")
+        assert main(["importance", good, f"--epsilon={epsilon}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "epsilon must be finite and positive" in err
+
     def test_unreadable_spectrum_exits_2(self, tmp_path, capsys):
         assert main(["importance", str(tmp_path)]) == 2
         assert "cannot read spectrum file" in capsys.readouterr().err
@@ -463,6 +472,53 @@ class TestReplayVerify:
         trace.write_text("\n".join(lines) + "\n")
         assert main(["replay-verify", str(trace)]) == 1
         assert "header adapters" in capsys.readouterr().err
+
+
+def typed_trace_records():
+    """The records of a clean trace: header, then a prune and an expand at step 10."""
+    header = {"type": "header", "version": 1, "name": "t", "seed": 0, "mode": "bidirectional",
+              "metric": "spectral_entropy",
+              "schedule": {"b0": 2, "t_warmup": 10, "t_final": 10, "total_steps": 100,
+                           "delta_t": 5},
+              "adapters": [{"id": "enc", "r_init": 3, "r_max": 6, "depth": 0},
+                           {"id": "dec", "r_init": 3, "r_max": 6, "depth": 2}]}
+    events = [AllocationEvent(10, "enc", "prune", 3, 2, 0.5, 0.01, 0),
+              AllocationEvent(10, "dec", "expand", 3, 4, 0.25, "zero_impact", 3)]
+    return [json.loads(line) for line in trace_lines(header, events)]
+
+
+class TestTraceFieldTypes:
+    """Each trace field must have the JSON type the writer gives it; a
+    number where an integer belongs, a quoted number or a bool is a bad
+    trace for both commands."""
+
+    def test_clean_trace_is_accepted(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join(map(json.dumps, typed_trace_records())) + "\n")
+        assert main(["replay-verify", str(trace)]) == 0
+        assert main(["export-heatmap", str(trace)]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("line, key, value", [
+        (1, "step", 10.9), (1, "step", "10"), (1, "step", True),
+        (1, "rank_before", "3"), (1, "rank_after", 2.0), (1, "index", True),
+        (1, "adapter_id", 7), (1, "action", ["prune"]),
+        (1, "score", "0.5"), (1, "score", True),
+        (1, "detail", "zero_impact"), (2, "detail", 0.0), (2, "detail", None),
+        (0, "b0", 2.7), (0, "t_warmup", "10"), (0, "t_final", True),
+        (0, "total_steps", 100.5), (0, "delta_t", 5.0),
+    ])
+    def test_wrong_type_exits_1(self, tmp_path, capsys, line, key, value):
+        records = typed_trace_records()
+        (records[0]["schedule"] if line == 0 else records[line])[key] = value
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join(map(json.dumps, records)) + "\n")
+        for command in ("replay-verify", "export-heatmap"):
+            assert main([command, str(trace)]) == 1
+            out, err = capsys.readouterr()
+            assert f"trace error: line {line + 1}: bad" in err
+            assert key in err
+            assert out == ""
 
 
 class TestParser:

@@ -20,7 +20,6 @@ from rankflex.importance import (
     energy_distribution,
     frobenius_mean,
     mat_energy_entropy,
-    matrix_score,
     nuclear_mean,
     score_all,
     sensitivity_update,
@@ -221,6 +220,20 @@ class TestMetricKind:
         with pytest.raises(ParameterError):
             MetricKind("spectral_entropy", epsilon=-1e-9)
 
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0])
+    def test_epsilon_finite_and_positive(self, epsilon):
+        with pytest.raises(ParameterError, match="epsilon"):
+            MetricKind("nuclear", epsilon=epsilon)
+
+
+@pytest.mark.parametrize("fn", [spectral_entropy, elem_energy_entropy, mat_energy_entropy])
+@pytest.mark.parametrize("epsilon", [math.inf, -math.inf, math.nan, 0.0, -0.5])
+def test_entropy_epsilon_must_be_finite_and_positive(fn, epsilon):
+    # Checked before the rank-1 and all-zero shortcuts, for every spectrum.
+    for lam in ([1.0, 2.0], [1.0], [0.0, 0.0]):
+        with pytest.raises(ParameterError, match="epsilon"):
+            fn(lam, epsilon=epsilon)
+
 
 class TestScoreAll:
     def test_one_score_per_adapter(self):
@@ -255,12 +268,14 @@ class TestScoreAll:
         report = score_all(ads, MetricKind("sensitivity"), states)
         assert report.scores["a0"] == pytest.approx(0.1, abs=1e-15)
 
-    def test_matrix_score_dispatch(self):
+    def test_dispatch_by_variant(self):
         lam = [3.0, 1.0, -2.0]
-        assert matrix_score(lam, MetricKind("nuclear")) == nuclear_mean(lam)
-        assert matrix_score(lam, MetricKind("frobenius")) == frobenius_mean(lam)
-        assert matrix_score(lam, MetricKind("elem_energy_entropy")) == \
-            elem_energy_entropy(lam)
+        ads = adapters_from([lam])
+        for variant, fn in (("spectral_entropy", spectral_entropy),
+                            ("nuclear", nuclear_mean), ("frobenius", frobenius_mean),
+                            ("elem_energy_entropy", elem_energy_entropy),
+                            ("mat_energy_entropy", mat_energy_entropy)):
+            assert score_all(ads, MetricKind(variant)).scores == {"a0": fn(lam)}
 
     def test_flag_helper(self):
         assert spectrum_flag([1.0]) == "rank1"

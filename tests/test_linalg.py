@@ -18,20 +18,19 @@ from rankflex.linalg import (
     matrix_from_csv_lines,
     matrix_to_csv_lines,
     orthonormal_columns,
-    seeded_rng,
     split_rng,
 )
 
 
 class TestSeededRng:
     def test_same_seed_same_stream(self):
-        a = seeded_rng(42).standard_normal(16)
-        b = seeded_rng(42).standard_normal(16)
+        a = split_rng(42, 3)[2].standard_normal(16)
+        b = split_rng(42, 3)[2].standard_normal(16)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = seeded_rng(1).standard_normal(16)
-        b = seeded_rng(2).standard_normal(16)
+        a = split_rng(1, 1)[0].standard_normal(16)
+        b = split_rng(2, 1)[0].standard_normal(16)
         assert not np.array_equal(a, b)
 
     def test_split_streams_are_stable(self):
@@ -49,23 +48,23 @@ class TestSeededRng:
 
 class TestGaussianMatrix:
     def test_moments(self):
-        m = gaussian_matrix(100, 100, 1.0, seeded_rng(11))
+        m = gaussian_matrix(100, 100, 1.0, np.random.default_rng(11))
         assert -0.05 <= m.mean() <= 0.05
         assert 0.95 <= m.std() <= 1.05
 
     def test_scales_with_std(self):
-        a = gaussian_matrix(4, 4, 1.0, seeded_rng(5))
-        b = gaussian_matrix(4, 4, 2.0, seeded_rng(5))
+        a = gaussian_matrix(4, 4, 1.0, np.random.default_rng(5))
+        b = gaussian_matrix(4, 4, 2.0, np.random.default_rng(5))
         assert np.allclose(b, 2.0 * a)
 
     @pytest.mark.parametrize("std", [0.0, -1.0, float("nan")])
     def test_bad_std(self, std):
         with pytest.raises(ParameterError):
-            gaussian_matrix(2, 2, std, seeded_rng(0))
+            gaussian_matrix(2, 2, std, np.random.default_rng(0))
 
     def test_bad_dims(self):
         with pytest.raises(ParameterError):
-            gaussian_matrix(0, 3, 1.0, seeded_rng(0))
+            gaussian_matrix(0, 3, 1.0, np.random.default_rng(0))
 
 
 class TestGramSchmidtExtend:
@@ -106,8 +105,8 @@ class TestGramSchmidtExtend:
 
     def test_deterministic_given_rng(self):
         basis = np.eye(7)[:, :3]
-        a = gram_schmidt_extend(basis, np.zeros(7), seeded_rng(3))
-        b = gram_schmidt_extend(basis, np.zeros(7), seeded_rng(3))
+        a = gram_schmidt_extend(basis, np.zeros(7), np.random.default_rng(3))
+        b = gram_schmidt_extend(basis, np.zeros(7), np.random.default_rng(3))
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -146,7 +145,7 @@ class ScriptedRng:
 
     def __init__(self, script):
         self.script = [np.array(v, dtype=np.float64) for v in script]
-        self.rest = seeded_rng(0)
+        self.rest = np.random.default_rng(0)
         self.draws = []
 
     def standard_normal(self, n):
@@ -164,7 +163,7 @@ class TestGramSchmidtExtendProperties:
     @classmethod
     def draw_case(cls, data, rows, seed):
         cols = data.draw(st.integers(0, rows - 1), label="cols")
-        gen = seeded_rng(seed)
+        gen = np.random.default_rng(seed)
         basis = gen.standard_normal((rows, cols))
         for j in range(cols):
             kind = data.draw(st.sampled_from(cls.KINDS))
@@ -196,7 +195,7 @@ class TestGramSchmidtExtendProperties:
     def test_unit_orthogonal_and_reproducible(self, rows, data, seed):
         basis, gen = self.draw_case(data, rows, seed)
         candidate = gen.standard_normal(rows)
-        got_rng, again_rng = seeded_rng(seed), seeded_rng(seed)
+        got_rng, again_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         v = gram_schmidt_extend(basis, candidate, got_rng)
         self.assert_unit_and_orthogonal(basis, v)
         assert np.array_equal(v, gram_schmidt_extend(basis, candidate, again_rng))
@@ -229,13 +228,13 @@ class TestOrthonormalColumns:
     @given(dim=st.integers(1, 40), data=st.data(), seed=st.integers(0, 2**63))
     def test_bitwise_equal_to_k_call_build(self, dim, data, seed):
         k = data.draw(st.integers(1, dim), label="k")
-        got_rng, want_rng = seeded_rng(seed), seeded_rng(seed)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = orthonormal_columns(dim, k, got_rng)
         assert_same_bits(got, oracles.orthonormal_columns_k_calls(dim, k, want_rng))
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_bitwise_equal_at_wide_teacher_size(self):
-        got_rng, want_rng = seeded_rng(401), seeded_rng(401)
+        got_rng, want_rng = np.random.default_rng(401), np.random.default_rng(401)
         got = orthonormal_columns(512, 64, got_rng)
         assert_same_bits(got, oracles.orthonormal_columns_k_calls(512, 64, want_rng))
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -269,7 +268,7 @@ class TestOrthonormalColumns:
             return inner(*args)
 
         monkeypatch.setattr(linalg, "_orthonormalize_into", counting)
-        orthonormal_columns(32, 12, seeded_rng(5))
+        orthonormal_columns(32, 12, np.random.default_rng(5))
         assert len(calls) == 11
 
 

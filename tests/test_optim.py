@@ -141,7 +141,18 @@ class TestStep:
         assert w[0] < first < 0.0
 
 
+def rank_event(action, index, adapter_id="a"):
+    """An event of adapter ``adapter_id`` at rank 3; only ``action`` and
+    ``index`` reach the optimizer."""
+    prune = action == "prune"
+    return AllocationEvent(step=1, adapter_id=adapter_id, action=action,
+                           rank_before=3, rank_after=2 if prune else 4, score=0.5,
+                           detail=0.0 if prune else "zero_impact", index=index)
+
+
 class TestSurgery:
+    # make_stateful gives only "a.p" moments, so these tests also check that
+    # a rank change leaves the factors without state ("a.lam", "a.q") alone.
     def make_stateful(self, rng):
         p = rng.standard_normal((4, 3))
         opt = AdamW(lr=0.01)
@@ -153,14 +164,15 @@ class TestSurgery:
         _, opt = self.make_stateful(rng)
         m0 = opt.state["a.p"]["m"].copy()
         v0 = opt.state["a.p"]["v"].copy()
-        opt.prune_direction("a.p", 1, axis=1)
+        opt.sync_rank_change(rank_event("prune", 1))
+        assert set(opt.state) == {"a.p"}
         assert np.array_equal(opt.state["a.p"]["m"], np.delete(m0, 1, axis=1))
         assert np.array_equal(opt.state["a.p"]["v"], np.delete(v0, 1, axis=1))
 
     def test_expand_appends_zeros(self, rng):
         _, opt = self.make_stateful(rng)
         m0 = opt.state["a.p"]["m"].copy()
-        opt.expand_direction("a.p", axis=1)
+        opt.sync_rank_change(rank_event("expand", 3))
         m1 = opt.state["a.p"]["m"]
         assert m1.shape == (4, 4)
         assert np.array_equal(m1[:, :3], m0)
@@ -168,8 +180,8 @@ class TestSurgery:
 
     def test_surgery_on_unseen_name_is_noop(self):
         opt = AdamW()
-        opt.prune_direction("ghost", 0, axis=0)
-        opt.expand_direction("ghost", axis=0)
+        opt.sync_rank_change(rank_event("prune", 0, "ghost"))
+        opt.sync_rank_change(rank_event("expand", 3, "ghost"))
         assert opt.state == {}
 
     def test_sync_rank_change_prune(self, rng):
@@ -213,8 +225,8 @@ class TestSurgery:
         p = rng.standard_normal((4, 3))
         opt.step({"a.p": p}, {"a.p": rng.standard_normal((4, 3))})
         kept = opt.state["a.p"]["m"][:, [0, 2]].copy()
-        opt.prune_direction("a.p", 1, axis=1)
-        opt.expand_direction("a.p", axis=1)
+        opt.sync_rank_change(rank_event("prune", 1))
+        opt.sync_rank_change(rank_event("expand", 2))
         m = opt.state["a.p"]["m"]
         assert m.shape == (4, 3)
         assert np.array_equal(m[:, :2], kept)

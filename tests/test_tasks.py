@@ -4,7 +4,6 @@ import pytest
 from rankflex import linalg
 from rankflex.adapter import SvdAdapter
 from rankflex.errors import ParameterError
-from rankflex.linalg import seeded_rng
 from rankflex.model import (
     AdapterSpec,
     LayerSpec,
@@ -28,7 +27,12 @@ def adapted_model(seed=40, d=10, hidden=8, out=6, ranks=(3, 5), caps=(6, 6)):
         LayerSpec("linear", d_in=hidden, d_out=out,
                   adapter=AdapterSpec("dec", ranks[1], caps[1])),
     ]
-    return build_model(specs, "mse", seeded_rng(seed))
+    return build_model(specs, "mse", np.random.default_rng(seed))
+
+
+def delta(teacher, model, depth):
+    """The teacher's additive update at ``depth`` over the student's base."""
+    return teacher.layers[depth][1] - model.layers[depth].base_w
 
 
 def teacher_task(ranks=(2, 3), n=64, noise=0.0, scale=1.0, d=10):
@@ -78,49 +82,54 @@ class TestBuildTeacher:
     def test_deltas_have_exact_rank(self):
         model = adapted_model()
         teacher = build_teacher(model, teacher_task(ranks=(2, 3)),
-                                seeded_rng(41))
-        assert set(teacher.deltas) == {0, 2}
+                                np.random.default_rng(41))
         for depth, k in ((0, 2), (2, 3)):
-            sv = np.linalg.svd(teacher.deltas[depth], compute_uv=False)
+            sv = np.linalg.svd(delta(teacher, model, depth), compute_uv=False)
             assert np.sum(sv > 1e-10) == k
 
     def test_teacher_weights_are_base_plus_delta(self):
         model = adapted_model()
-        teacher = build_teacher(model, teacher_task(), seeded_rng(42))
-        for depth in (0, 2):
-            expect = model.layers[depth].base_w + teacher.deltas[depth]
+        teacher = build_teacher(model, teacher_task(), np.random.default_rng(42))
+        # Replay the factor draws: per adapted layer in depth order, the
+        # d_out-side factor, then the d_in side.
+        rng = np.random.default_rng(42)
+        for depth, k in ((0, 2), (2, 3)):
+            base = model.layers[depth].base_w
+            u = linalg.orthonormal_columns(base.shape[0], k, rng)
+            v = linalg.orthonormal_columns(base.shape[1], k, rng)
+            expect = base + (1.0 / np.sqrt(k)) * (u @ v.T)
             assert np.array_equal(teacher.layers[depth][1], expect)
         assert teacher.layers[1] == ("tanh", None)
 
     def test_delta_scale_tracks_teacher_scale(self):
         model = adapted_model()
-        t1 = build_teacher(model, teacher_task(scale=1.0), seeded_rng(43))
-        t2 = build_teacher(model, teacher_task(scale=2.5), seeded_rng(43))
+        t1 = build_teacher(model, teacher_task(scale=1.0), np.random.default_rng(43))
+        t2 = build_teacher(model, teacher_task(scale=2.5), np.random.default_rng(43))
         for depth in (0, 2):
-            assert np.allclose(t2.deltas[depth], 2.5 * t1.deltas[depth])
+            assert np.allclose(delta(t2, model, depth), 2.5 * delta(t1, model, depth))
 
     def test_rank_exceeding_dims_rejected(self):
         model = adapted_model()
         with pytest.raises(ParameterError, match=r"task.teacher_ranks\[1\] 7 exceeds"):
-            build_teacher(model, teacher_task(ranks=(2, 7)), seeded_rng(44))
+            build_teacher(model, teacher_task(ranks=(2, 7)), np.random.default_rng(44))
 
     def test_rank_count_must_match_adapted_layers(self):
         model = adapted_model()
         with pytest.raises(ParameterError, match="task.teacher_ranks has 1 ranks for 2"):
-            build_teacher(model, teacher_task(ranks=(2,)), seeded_rng(45))
+            build_teacher(model, teacher_task(ranks=(2,)), np.random.default_rng(45))
 
     def test_wrong_kind_rejected(self):
         model = adapted_model()
         task = SyntheticTask(kind="two_blobs", input_dim=10, sample_count=8)
         with pytest.raises(ParameterError):
-            build_teacher(model, task, seeded_rng(46))
+            build_teacher(model, task, np.random.default_rng(46))
 
     def test_deterministic(self):
         model = adapted_model()
-        a = build_teacher(model, teacher_task(), seeded_rng(47))
-        b = build_teacher(model, teacher_task(), seeded_rng(47))
+        a = build_teacher(model, teacher_task(), np.random.default_rng(47))
+        b = build_teacher(model, teacher_task(), np.random.default_rng(47))
         for depth in (0, 2):
-            assert np.array_equal(a.deltas[depth], b.deltas[depth])
+            assert np.array_equal(a.layers[depth][1], b.layers[depth][1])
 
     def test_each_factor_column_orthonormalized_once(self, monkeypatch):
         # A rank-k factor orthonormalizes k - 1 columns, and each delta has
@@ -133,7 +142,7 @@ class TestBuildTeacher:
             return inner(*args)
 
         monkeypatch.setattr(linalg, "_orthonormalize_into", counting)
-        build_teacher(adapted_model(), teacher_task(ranks=(5, 4)), seeded_rng(48))
+        build_teacher(adapted_model(), teacher_task(ranks=(5, 4)), np.random.default_rng(48))
         assert len(calls) == 14
 
 
@@ -141,47 +150,46 @@ class TestSampling:
     def test_regression_shapes_and_determinism(self):
         model = adapted_model()
         task = teacher_task(n=32)
-        teacher = build_teacher(model, task, seeded_rng(50))
-        d1 = sample_regression(teacher, task, seeded_rng(51))
-        d2 = sample_regression(teacher, task, seeded_rng(51))
+        teacher = build_teacher(model, task, np.random.default_rng(50))
+        d1 = sample_regression(teacher, task, np.random.default_rng(51))
+        d2 = sample_regression(teacher, task, np.random.default_rng(51))
         assert d1.inputs.shape == (10, 32)
         assert d1.targets.shape == (6, 32)
         assert np.array_equal(d1.inputs, d2.inputs)
         assert np.array_equal(d1.targets, d2.targets)
-        assert d1.teacher is teacher
 
     def test_noiseless_targets_equal_teacher_forward(self):
         model = adapted_model()
         task = teacher_task(noise=0.0)
-        teacher = build_teacher(model, task, seeded_rng(52))
-        data = sample_regression(teacher, task, seeded_rng(53))
+        teacher = build_teacher(model, task, np.random.default_rng(52))
+        data = sample_regression(teacher, task, np.random.default_rng(53))
         assert np.array_equal(data.targets, teacher.forward(data.inputs))
 
     def test_noise_perturbs_targets(self):
         model = adapted_model()
         task = teacher_task(noise=0.1)
-        teacher = build_teacher(model, task, seeded_rng(54))
-        data = sample_regression(teacher, task, seeded_rng(55))
+        teacher = build_teacher(model, task, np.random.default_rng(54))
+        data = sample_regression(teacher, task, np.random.default_rng(55))
         resid = data.targets - teacher.forward(data.inputs)
         assert 0.05 < float(resid.std()) < 0.2
 
     def test_eval_overrides(self):
         model = adapted_model()
         task = teacher_task(n=32, noise=0.5)
-        teacher = build_teacher(model, task, seeded_rng(56))
-        heldout = sample_regression(teacher, task, seeded_rng(57),
+        teacher = build_teacher(model, task, np.random.default_rng(56))
+        heldout = sample_regression(teacher, task, np.random.default_rng(57),
                                     sample_count=200, noise_std=0.0)
         assert heldout.inputs.shape == (10, 200)
         assert np.array_equal(heldout.targets, teacher.forward(heldout.inputs))
         with pytest.raises(ParameterError):
-            sample_regression(teacher, task, seeded_rng(58), sample_count=0)
+            sample_regression(teacher, task, np.random.default_rng(58), sample_count=0)
         with pytest.raises(ParameterError):
-            sample_regression(teacher, task, seeded_rng(58), noise_std=-1.0)
+            sample_regression(teacher, task, np.random.default_rng(58), noise_std=-1.0)
 
     def test_blobs_shapes_and_separability(self):
         task = SyntheticTask(kind="two_blobs", input_dim=6, sample_count=400,
                              blob_separation=6.0)
-        data = sample_blobs(task, seeded_rng(59))
+        data = sample_blobs(task, np.random.default_rng(59))
         assert data.inputs.shape == (6, 400)
         assert data.targets.shape == (400,)
         assert data.targets.dtype == np.int64
@@ -198,41 +206,40 @@ class TestClosableGap:
         gap, confirming ranks pair with layers in depth order."""
         model = adapted_model(ranks=(2, 3), caps=(6, 6))
         task = teacher_task(ranks=(2, 3), n=50, noise=0.0)
-        teacher = build_teacher(model, task, seeded_rng(63))
+        teacher = build_teacher(model, task, np.random.default_rng(63))
         layers = []
         for depth, layer in enumerate(model.layers):
             if not isinstance(layer, LinearLayer):
                 layers.append(layer)
                 continue
-            delta = teacher.deltas[depth]
-            k = np.linalg.matrix_rank(delta, tol=1e-10)
-            u, s, vt = np.linalg.svd(delta)
+            d = delta(teacher, model, depth)
+            k = np.linalg.matrix_rank(d, tol=1e-10)
+            u, s, vt = np.linalg.svd(d)
             a = SvdAdapter(f"m{depth}", layer.base_w, u[:, :k],
                            s[:k] * (k / 16.0), vt[:k, :],
                            r_init=k, r_max=k + 1, alpha=16.0)
             layers.append(LinearLayer(layer.base_w, bias=layer.bias, adapter=a))
         student = ToyModel(layers, "mse")
-        data = sample_regression(teacher, task, seeded_rng(64))
+        data = sample_regression(teacher, task, np.random.default_rng(64))
         y, _ = student.forward(data.inputs)
         assert float(np.max(np.abs(y - data.targets))) < 1e-10
 
     def test_underranked_student_cannot_close_gap(self):
         model = adapted_model(ranks=(2, 3), caps=(6, 6))
         task = teacher_task(ranks=(5, 5), n=50, noise=0.0)
-        teacher = build_teacher(model, task, seeded_rng(65))
+        teacher = build_teacher(model, task, np.random.default_rng(65))
         layers = []
         for depth, layer in enumerate(model.layers):
             if not isinstance(layer, LinearLayer):
                 layers.append(layer)
                 continue
-            delta = teacher.deltas[depth]
-            u, s, vt = np.linalg.svd(delta)
+            u, s, vt = np.linalg.svd(delta(teacher, model, depth))
             k = 2  # best rank-2 approximation of a rank-5 delta
             a = SvdAdapter(f"m{depth}", layer.base_w, u[:, :k],
                            s[:k] * (k / 16.0), vt[:k, :],
                            r_init=k, r_max=k + 1, alpha=16.0)
             layers.append(LinearLayer(layer.base_w, bias=layer.bias, adapter=a))
         student = ToyModel(layers, "mse")
-        data = sample_regression(teacher, task, seeded_rng(66))
+        data = sample_regression(teacher, task, np.random.default_rng(66))
         y, _ = student.forward(data.inputs)
         assert float(np.mean((y - data.targets) ** 2)) > 1e-4

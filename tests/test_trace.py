@@ -7,12 +7,21 @@ from rankflex.errors import ParameterError, TraceError
 from rankflex.events import AllocationEvent
 from rankflex.trace import (
     heatmap_csv_lines,
-    heatmap_table,
     read_trace,
     trace_lines,
     verify_trace,
-    write_trace,
 )
+
+
+def write(path, header, events, abort=None):
+    path.write_text("\n".join(trace_lines(header, events, abort)) + "\n", encoding="utf-8")
+
+
+def pivot(header, events):
+    """(adapter ids, column labels, rank grid) read back from the heatmap CSV."""
+    head, *rows = [line.split(",") for line in heatmap_csv_lines(header, events)]
+    assert head[0] == "adapter"
+    return [r[0] for r in rows], head[1:], [[int(c) for c in r[1:]] for r in rows]
 
 
 def make_header(mode="bidirectional", adapters=None, schedule=None):
@@ -86,7 +95,7 @@ class TestRoundTrip:
         events = good_events()
         abort = {"type": "abort", "step": 20, "reason": "divergence",
                  "loss": 1e9}
-        write_trace(path, header, events, abort)
+        write(path, header, events, abort)
         h, es, ab = read_trace(path)
         assert h == header
         assert es == events
@@ -101,8 +110,8 @@ class TestRoundTrip:
 
     def test_byte_stability(self, tmp_path):
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_trace(p1, make_header(), good_events())
-        write_trace(p2, make_header(), good_events())
+        write(p1, make_header(), good_events())
+        write(p2, make_header(), good_events())
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_blank_lines_ignored(self, tmp_path):
@@ -292,7 +301,7 @@ class TestVerify:
 
 class TestHeatmap:
     def test_pivot_matches_hand_computation(self):
-        ids, labels, grid = heatmap_table(make_header(), good_events())
+        ids, labels, grid = pivot(make_header(), good_events())
         assert ids == ["enc", "dec"]
         assert labels == ["init", "10", "15"]
         assert grid == [[3, 2, 3], [3, 4, 3]]
@@ -300,11 +309,11 @@ class TestHeatmap:
     def test_rows_follow_depth_order(self):
         adapters = [{"id": "zz", "r_init": 2, "r_max": 4, "depth": 4},
                     {"id": "aa", "r_init": 2, "r_max": 4, "depth": 0}]
-        ids, _, _ = heatmap_table(make_header(adapters=adapters), [])
+        ids, _, _ = pivot(make_header(adapters=adapters), [])
         assert ids == ["aa", "zz"]
 
     def test_zero_events_single_column(self):
-        ids, labels, grid = heatmap_table(make_header(), [])
+        ids, labels, grid = pivot(make_header(), [])
         assert labels == ["init"]
         assert grid == [[3], [3]]
 
@@ -318,10 +327,10 @@ class TestHeatmap:
 
     def test_unknown_adapter_rejected(self):
         with pytest.raises(TraceError):
-            heatmap_table(make_header(), [ev(10, "ghost", "prune", 3)])
+            pivot(make_header(), [ev(10, "ghost", "prune", 3)])
 
     def test_final_column_is_final_rank_state(self):
         events = good_events() + [ev(20, "enc", "prune", 3),
                                   ev(20, "dec", "expand", 3)]
-        _, _, grid = heatmap_table(make_header(), events)
+        _, _, grid = pivot(make_header(), events)
         assert [row[-1] for row in grid] == [2, 4]

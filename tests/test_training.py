@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rankflex import training
 from rankflex.adapter import InitStrategy
 from rankflex.allocator import BudgetSchedule
 from rankflex.checkpoint import checkpoint_lines
@@ -44,6 +45,26 @@ def make_config(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def teacher_weights_equal(t1, t2):
+    return all(np.array_equal(w1, w2) for (_, w1), (_, w2) in zip(t1.layers, t2.layers))
+
+
+def wrap(monkeypatch, name, before=None, after=None):
+    """Replace the ``training`` global ``name`` by a wrapper that calls
+    ``before(*args)`` and ``after(result, *args)`` around the original."""
+    original = getattr(training, name)
+
+    def wrapper(*args, **kwargs):
+        if before is not None:
+            before(*args)
+        result = original(*args, **kwargs)
+        if after is not None:
+            after(result, *args)
+        return result
+
+    monkeypatch.setattr(training, name, wrapper)
 
 
 class TestConfigValidation:
@@ -111,12 +132,12 @@ class TestDeterminism:
             metrics_csv_lines(r2.header, r2.metrics)
         assert checkpoint_lines(r1.model) == checkpoint_lines(r2.model)
         assert r1.final_loss == r2.final_loss
-        assert np.array_equal(r1.dataset.inputs, r2.dataset.inputs)
+        assert teacher_weights_equal(r1.teacher, r2.teacher)
 
     def test_seed_changes_everything(self):
         r1 = run_training(make_config())
         r2 = run_training(make_config(seed=8))
-        assert not np.array_equal(r1.dataset.inputs, r2.dataset.inputs)
+        assert not teacher_weights_equal(r1.teacher, r2.teacher)
         assert checkpoint_lines(r1.model) != checkpoint_lines(r2.model)
 
 
@@ -203,15 +224,10 @@ class TestTrainingProgress:
         assert result.teacher is None
         assert result.metrics[-1]["loss"] < result.metrics[0]["loss"]
 
-    def test_sensitivity_metric_runs(self):
+    def test_sensitivity_metric_runs(self, monkeypatch):
         reports = []
-
-        def observer(step, phase, model, info):
-            if phase == "pre_allocation":
-                reports.append(info["report"])
-
-        result = run_training(make_config(metric=MetricKind("sensitivity")),
-                              observer=observer)
+        wrap(monkeypatch, "score_all", after=lambda report, *_: reports.append(report))
+        result = run_training(make_config(metric=MetricKind("sensitivity")))
         assert not result.diverged
         assert reports, "expected scored allocation passes"
         for rep in reports:
@@ -219,39 +235,21 @@ class TestTrainingProgress:
             assert all(s >= 0.0 for s in rep.scores.values())
 
 
-class TestObserverAndInvariance:
-    def test_observer_phase_protocol(self):
-        calls = []
-
-        def observer(step, phase, model, info):
-            calls.append((step, phase))
-
-        run_training(make_config(), observer=observer)
-        assert calls, "observer never fired"
-        # Calls arrive in pre/post pairs at the same step.
-        for pre, post in zip(calls[0::2], calls[1::2]):
-            assert pre[0] == post[0]
-            assert (pre[1], post[1]) == ("pre_allocation", "post_allocation")
-
-    def test_zero_impact_expansion_is_bitwise_invariant_in_vivo(self):
+class TestAllocationInVivo:
+    def test_zero_impact_expansion_is_bitwise_invariant_in_vivo(self, monkeypatch):
         probe = np.random.default_rng(123).standard_normal((10, 5))
-        seen = {"count": 0}
-        pre_out = {}
+        models, before, same = [], [], []
 
-        def observer(step, phase, model, info):
-            if phase == "pre_allocation":
-                pre_out[step] = model.forward(probe)[0]
-            else:
-                if info["events"]:
-                    seen["count"] += 1
-                    post = model.forward(probe)[0]
-                    assert np.array_equal(pre_out[step], post)
+        def compare(events, *_):
+            if events:
+                same.append(np.array_equal(before.pop(), models[0].forward(probe)[0]))
 
-        run_training(
-            make_config(mode="expand_only",
-                        init_strategy=InitStrategy("zero_impact")),
-            observer=observer)
-        assert seen["count"] > 0
+        wrap(monkeypatch, "build_model", after=lambda model, *_: models.append(model))
+        wrap(monkeypatch, "apply_allocation",
+             before=lambda *_: before.append(models[0].forward(probe)[0]), after=compare)
+        run_training(make_config(mode="expand_only",
+                                 init_strategy=InitStrategy("zero_impact")))
+        assert same and all(same)
 
 
 class TestParameterCache:
@@ -273,23 +271,25 @@ class TestParameterCache:
         # row (its param_count); none per step.
         assert len(calls) <= firings + len(result.metrics) + 1 < sched.total_steps
 
-    def test_expanded_adapter_keeps_training(self):
+    def test_expanded_adapter_keeps_training(self, monkeypatch):
         # The factor arrays an expansion puts in place must be the ones the
-        # optimizer updates until the next allocation step.
+        # optimizer updates until the next scored allocation step.
         pending, moved = [], []
 
-        def observer(step, phase, model, info):
-            if phase == "pre_allocation":
-                moved.extend(not np.array_equal(live, before) for live, before in pending)
-                pending.clear()
-                return
-            adapters = {a.id: a for a in model.adapters()}
-            for event in info["events"]:
+        def check_pending(*_):
+            moved.extend(not np.array_equal(live, before) for live, before in pending)
+            pending.clear()
+
+        def record_expanded(events, adapters, *_):
+            by_id = {a.id: a for a in adapters}
+            for event in events:
                 if event.action == "expand":
-                    a = adapters[event.adapter_id]
+                    a = by_id[event.adapter_id]
                     pending.extend((arr, arr.copy()) for arr in (a.p, a.lam, a.q))
 
-        run_training(make_config(mode="expand_only"), observer=observer)
+        wrap(monkeypatch, "score_all", before=check_pending)
+        wrap(monkeypatch, "apply_allocation", after=record_expanded)
+        run_training(make_config(mode="expand_only"))
         assert moved and all(moved)
 
 
