@@ -5,15 +5,10 @@ Matrices are plain ``numpy.ndarray`` objects in row-major float64; vectors are
 explicit ``numpy.random.Generator``; :func:`split_rng` spawns a run's
 independent streams from its seed.
 
-Orthogonalization comes in two forms that share one redraw loop: a candidate
-is projected off an orthonormal set twice and redrawn while its residual is
-degenerate. ``gram_schmidt_extend`` serves a basis that changes between calls
-(rank expansion), so it orthonormalizes the whole basis with one Householder
-QR and projects with two matrix passes. ``orthonormal_columns`` builds a whole
-factor column by column with modified Gram-Schmidt, keeping the orthonormal
-list from one column to the next. The two forms agree to rounding, not bit
-for bit; the teacher factors' bits are pinned, so the teacher keeps the
-Gram-Schmidt build.
+Orthonormalization has one form: a Householder QR of the columns, with zero
+or dependent columns dropped and each kept column signed the way
+Gram-Schmidt would give it. Rank expansion projects a candidate off such a
+span; the teacher's factors are the span of a block of Gaussian columns.
 
 Matrix CSV lines hold one row each, values separated by commas, each value
 formatted with ``repr`` so the round trip is exact at the bit level.
@@ -73,44 +68,11 @@ _GS_TOL = 1e-10
 _GS_MAX_RETRIES = 8
 
 
-def _project_twice(w, ortho):
-    """Subtract ``w``'s components along the orthonormal list in place, in two
-    passes, which pins the leak at machine precision."""
-    for _ in range(2):
-        for u in ortho:
-            w -= (w @ u) * u
-
-
-def _orthonormalize_into(ortho, col):
-    """Append ``col``'s normalized component orthogonal to ``ortho`` to the
-    list, unless it is zero or dependent on the list."""
-    w = col.astype(np.float64, copy=True)
-    _project_twice(w, ortho)
-    norm = float(np.linalg.norm(w))
-    # Dropping a dependent column only widens the complement.
-    if norm > _GS_TOL * max(1.0, float(np.linalg.norm(col))):
-        ortho.append(w / norm)
-
-
-def _project_off(project, candidate, rng):
-    """Unit vector from ``candidate`` after ``project`` removes its components
-    along an orthonormal set in place; while the residual norm falls below
-    ``_GS_TOL``, fresh Gaussian draws replace the candidate."""
-    w = candidate.astype(np.float64, copy=True)
-    for _ in range(_GS_MAX_RETRIES):
-        project(w)
-        norm = float(np.linalg.norm(w))
-        if norm >= _GS_TOL:
-            return w / norm
-        w = rng.standard_normal(w.shape[0])
-    raise DegenerateInputError(
-        f"no orthogonal direction found after {_GS_MAX_RETRIES} candidates"
-    )
-
-
 def _orthonormal_span(b):
     """Orthonormal columns spanning ``b``'s columns, each column dropped that
-    lies within ``_GS_TOL * max(1, |b_j|)`` of the kept columns before it.
+    lies within ``_GS_TOL * max(1, |b_j|)`` of the kept columns before it,
+    and each kept column signed so R's diagonal is positive, as Gram-Schmidt
+    orients it.
 
     ``|R_jj|`` of a Householder QR is column j's distance from the span of
     the columns before it only while none of them was dropped: a dropped
@@ -121,9 +83,10 @@ def _orthonormal_span(b):
     floor = _GS_TOL * np.maximum(1.0, np.linalg.norm(b, axis=0))
     while True:
         q, r = np.linalg.qr(b)
-        dropped = np.flatnonzero(np.abs(np.diagonal(r)) <= floor)
+        diag = np.diagonal(r)
+        dropped = np.flatnonzero(np.abs(diag) <= floor)
         if dropped.size == 0:
-            return q
+            return q * np.sign(diag)
         b = np.delete(b, dropped[0], axis=1)
         floor = np.delete(floor, dropped[0])
 
@@ -131,13 +94,12 @@ def _orthonormal_span(b):
 def gram_schmidt_extend(basis, candidate, rng):
     """Unit vector orthogonal to every column of ``basis``.
 
-    The basis columns are first orthonormalized by Householder QR (zero or
-    dependent columns drop out, so conditioning does not matter). The
-    candidate is then projected off that orthonormal set twice, which pins
-    the leak at machine precision. A candidate whose residual norm falls
-    below ``_GS_TOL`` is replaced by a fresh Gaussian draw of length
-    ``rows`` from ``rng``; after ``_GS_MAX_RETRIES`` failed candidates the
-    input is declared degenerate.
+    The candidate is projected twice off the basis's orthonormal span, in
+    which zero or dependent columns drop out; the second pass pins the leak
+    at machine precision. A candidate whose residual norm falls below
+    ``_GS_TOL`` is replaced by a fresh Gaussian draw of length ``rows`` from
+    ``rng``; after ``_GS_MAX_RETRIES`` failed candidates the input is
+    declared degenerate.
 
     Raises RankFullError when the basis has as many columns as rows,
     ShapeError on a candidate of the wrong length, ParameterError on a
@@ -150,49 +112,38 @@ def gram_schmidt_extend(basis, candidate, rng):
         raise RankFullError(
             f"basis with {cols} columns in R^{rows} leaves no orthogonal direction"
         )
-    v = np.asarray(candidate, dtype=np.float64).reshape(-1)
+    v = np.array(candidate, dtype=np.float64).reshape(-1)
     if v.shape[0] != rows:
         raise ShapeError(f"candidate length {v.shape[0]} != basis rows {rows}")
     if not (np.isfinite(b).all() and np.isfinite(v).all()):
         raise ParameterError("basis and candidate must be finite")
     u = _orthonormal_span(b)
-
-    def project(w):
+    for _ in range(_GS_MAX_RETRIES):
         for _ in range(2):
-            w -= u @ (u.T @ w)
-
-    return _project_off(project, v, rng)
+            v -= u @ (u.T @ v)
+        norm = float(np.linalg.norm(v))
+        if norm >= _GS_TOL:
+            return v / norm
+        v = rng.standard_normal(rows)
+    raise DegenerateInputError(
+        f"no orthogonal direction found after {_GS_MAX_RETRIES} candidates"
+    )
 
 
 def orthonormal_columns(dim, k, rng):
-    """``dim``-by-``k`` matrix of orthonormal columns drawn from ``rng``.
-
-    Column j projects a Gaussian candidate off columns 0..j-1 by modified
-    Gram-Schmidt with a second pass, redrawing degenerate candidates as
-    ``gram_schmidt_extend`` does. Because column j's orthonormalized form
-    depends only on columns 0..j, the orthonormal list is kept from one
-    column to the next and each column is orthonormalized into it once:
-    O(k^2 * dim) for the factor. The teacher factors are built here, and
-    their bits are pinned, so this arithmetic must not change.
+    """``dim``-by-``k`` matrix of orthonormal columns drawn from ``rng``: the
+    span of k Gaussian columns, drawn as one ``(k, dim)`` block so the stream
+    advances as k draws of length ``dim`` would.
 
     Raises RankFullError when ``k`` exceeds ``dim``, and DegenerateInputError
-    when no candidate survives.
+    when fewer than ``k`` of the drawn columns are independent.
     """
     if k > dim:
         raise RankFullError(f"{k} orthonormal columns do not fit in R^{dim}")
-    ortho = []
-    out = np.empty((dim, k))
-
-    def project(w):
-        _project_twice(w, ortho)
-
-    for j in range(k):
-        candidate = rng.standard_normal(dim)
-        col = _project_off(project, candidate, rng)
-        out[:, j] = col
-        if j < k - 1:
-            _orthonormalize_into(ortho, col)
-    return out
+    q = _orthonormal_span(rng.standard_normal((k, dim)).T)
+    if q.shape[1] < k:
+        raise DegenerateInputError(f"only {q.shape[1]} of {k} drawn columns are independent")
+    return q
 
 
 def matrix_to_csv_lines(m):

@@ -5,7 +5,7 @@ weights plus, at every adapted layer, an additive delta of exactly the
 requested rank. Targets are teacher outputs with optional Gaussian
 observation noise, so an adapter can close the gap exactly if and only if
 its rank reaches the teacher's. Each rank-k delta is a scaled product of two
-k-column orthonormal factors, each built in one incremental Gram-Schmidt pass
+k-column orthonormal factors, each the QR span of k Gaussian columns
 (``linalg.orthonormal_columns``); the data set is drawn from the same
 generator afterwards. The teacher keeps only the summed weights, not the
 deltas. ``check_teacher_ranks`` states which ranks a model's adapted layers
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .linalg import orthonormal_columns
-# Unused here; bench/tracer.py hooks this name until ROADMAP item 3 lands.
+# Unused here; bench/tracer.py hooks this name until ROADMAP item 1 lands.
 from .linalg import gram_schmidt_extend  # noqa: F401
 from .model import ActivationLayer, LinearLayer
 

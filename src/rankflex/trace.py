@@ -19,6 +19,7 @@ from dataclasses import fields
 from .allocator import ALLOCATOR_MODES, BudgetSchedule
 from .errors import TraceError, read_text
 from .events import AllocationEvent
+from .importance import METRIC_VARIANTS
 
 __all__ = [
     "trace_lines",
@@ -26,6 +27,21 @@ __all__ = [
     "verify_trace",
     "heatmap_csv_lines",
 ]
+
+TRACE_VERSION = 1
+
+# Value checks of the header's and the abort record's fields, where present.
+_HEADER_VALUES = {
+    "version": lambda v: type(v) is int and v == TRACE_VERSION,
+    "seed": lambda v: type(v) is int,
+    "mode": lambda v: isinstance(v, str),
+    "metric": lambda v: v in METRIC_VARIANTS,
+}
+_ABORT_VALUES = {
+    "step": lambda v: type(v) is int,
+    "reason": lambda v: isinstance(v, str),
+    "loss": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
 
 
 def _dump(obj):
@@ -55,10 +71,17 @@ def _is_roster(adapters):
         for a in adapters)
 
 
+def _check_values(obj, checks, record, lineno):
+    for key, ok in checks.items():
+        if key in obj and not ok(obj[key]):
+            raise TraceError(f"line {lineno}: bad {record} {key} {obj[key]!r}")
+
+
 def read_trace(path):
     """Parse a trace file into (header, events, abort-or-None).
 
-    Structural problems raise TraceError naming the offending line (1-based).
+    Structural problems, fields of the wrong type and an unknown version or
+    metric raise TraceError naming the offending line (1-based).
     """
     raw = read_text(path, TraceError, "trace file").splitlines()
     lines = [(i + 1, ln) for i, ln in enumerate(raw) if ln.strip()]
@@ -78,11 +101,10 @@ def read_trace(path):
         if kind == "header":
             if header is not None:
                 raise TraceError(f"line {lineno}: duplicate header")
-            if events or abort:
-                raise TraceError(f"line {lineno}: header must come first")
             for key in ("version", "seed", "mode", "metric", "schedule", "adapters"):
                 if key not in obj:
                     raise TraceError(f"line {lineno}: header missing {key!r}")
+            _check_values(obj, _HEADER_VALUES, "header", lineno)
             if not _is_roster(obj["adapters"]):
                 raise TraceError(f"line {lineno}: header adapters must be a list of objects "
                                  "with a string id and integer r_init, r_max and depth")
@@ -105,6 +127,7 @@ def read_trace(path):
                 raise TraceError(f"line {lineno}: abort before header")
             if abort is not None:
                 raise TraceError(f"line {lineno}: duplicate abort record")
+            _check_values(obj, _ABORT_VALUES, "abort record", lineno)
             abort = obj
         else:
             raise TraceError(f"line {lineno}: unknown record type {kind!r}")

@@ -36,6 +36,7 @@ from .tasks import (
     sample_blobs,
     sample_regression,
 )
+from .trace import TRACE_VERSION
 
 __all__ = [
     "OptimizerConfig",
@@ -44,8 +45,6 @@ __all__ = [
     "run_training",
     "metrics_csv_lines",
 ]
-
-TRACE_VERSION = 1
 
 # Training aborts when the loss blows past this multiple of its first value.
 DIVERGENCE_FACTOR = 1e6

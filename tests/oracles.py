@@ -103,7 +103,7 @@ def orthonormal_columns_k_calls(dim, k, rng, tol=1e-10, max_retries=8):
     re-orthonormalizes every earlier column (modified Gram-Schmidt, two
     passes, dropping dependent columns), then projects a Gaussian candidate
     off them, redrawing from ``rng`` while its residual norm is below
-    ``tol``. O(k^3 * dim); the reference for the incremental build."""
+    ``tol``. O(k^3 * dim); the reference for the QR build."""
 
     def extend(basis, v):
         rows, count = basis.shape

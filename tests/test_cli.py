@@ -475,7 +475,8 @@ class TestReplayVerify:
 
 
 def typed_trace_records():
-    """The records of a clean trace: header, then a prune and an expand at step 10."""
+    """The records of a clean trace: header, then a prune and an expand at
+    step 10, then an abort record."""
     header = {"type": "header", "version": 1, "name": "t", "seed": 0, "mode": "bidirectional",
               "metric": "spectral_entropy",
               "schedule": {"b0": 2, "t_warmup": 10, "t_final": 10, "total_steps": 100,
@@ -484,13 +485,14 @@ def typed_trace_records():
                            {"id": "dec", "r_init": 3, "r_max": 6, "depth": 2}]}
     events = [AllocationEvent(10, "enc", "prune", 3, 2, 0.5, 0.01, 0),
               AllocationEvent(10, "dec", "expand", 3, 4, 0.25, "zero_impact", 3)]
-    return [json.loads(line) for line in trace_lines(header, events)]
+    abort = {"type": "abort", "step": 12, "reason": "divergence", "loss": 1e30}
+    return [json.loads(line) for line in trace_lines(header, events, abort)]
 
 
 class TestTraceFieldTypes:
     """Each trace field must have the JSON type the writer gives it; a
     number where an integer belongs, a quoted number or a bool is a bad
-    trace for both commands."""
+    trace for both commands, as are an unknown trace version and metric."""
 
     def test_clean_trace_is_accepted(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
@@ -507,10 +509,17 @@ class TestTraceFieldTypes:
         (1, "detail", "zero_impact"), (2, "detail", 0.0), (2, "detail", None),
         (0, "b0", 2.7), (0, "t_warmup", "10"), (0, "t_final", True),
         (0, "total_steps", 100.5), (0, "delta_t", 5.0),
+        (0, "version", 99), (0, "version", 1.0), (0, "version", True), (0, "version", "1"),
+        (0, "seed", "abc"), (0, "seed", 1.5), (0, "seed", True),
+        (0, "mode", 7), (0, "mode", None), (0, "metric", ["x"]), (0, "metric", "x"),
+        (3, "step", "x"), (3, "step", 12.0), (3, "step", True),
+        (3, "reason", 7), (3, "reason", None),
+        (3, "loss", "1e30"), (3, "loss", True), (3, "loss", None),
     ])
     def test_wrong_type_exits_1(self, tmp_path, capsys, line, key, value):
         records = typed_trace_records()
-        (records[0]["schedule"] if line == 0 else records[line])[key] = value
+        record = records[line]
+        (record["schedule"] if key in record.get("schedule", {}) else record)[key] = value
         trace = tmp_path / "trace.jsonl"
         trace.write_text("\n".join(map(json.dumps, records)) + "\n")
         for command in ("replay-verify", "export-heatmap"):

@@ -101,24 +101,24 @@ CONFIGS = {"criterion8": _criterion_8, "desk": lambda: DESK, "churn": lambda: CH
 PINNED = {
     "numpy 2.4.6; scipy-openblas 0.3.31.188.0; x86_64": {
         "criterion8": (
-            "a6e99fd9951518a3950d7bb1c541d3003ea925ee6f89225e094bc2ec5f10546e",
-            "83d3c85907d79ec6971bf07cc9af9a838c9cf630383e7bf921077be59070a1da",
-            "70df7e740608abc35f80b031d5481a75478036fe33f7f574c993888ee8b76632",
+            "f276c6f55d8660682d949b15c572baf72b042756b51443a2dd7f4c96d34366a9",
+            "7ac3925c1f56c4a0d647e603d721c3b679d1f62c31e39e17f1e1884eba57038f",
+            "6bbaee1c6986e0926bbcdae0a676a2c7740582729e21efc7bc37b81e1a0830f5",
         ),
         "desk": (
-            "4bbc127ac831b8e7487b3648bd80cc7c39ae4f9aea2c07c7ca86dbab40a19e64",
-            "7f99e47c2929128c93e5b9ae9c228bde081ad747e4e9233d9abda1ad68cf0642",
-            "41b2ac0c33b1e98b1a53a6ccaa6e39dca68c16519f1b812bca1a28d4d599ed85",
+            "838866e5096c3046c48fe3511118749e94d497b7f8b1a2d8b9515030a0799a9b",
+            "2b228b0da6bdf082bde5e0dd303d59731534a68446e16173e23827c5f529403b",
+            "5f08c913f3aacdba786002a963dc5f3153d4d4b108af9ba8902caadf12dde275",
         ),
         "churn": (
-            "9d12d7b195cf276ced57ab868110f0e3a3f6b672372502f19a32629cf945c625",
-            "83bb2227f4642a805fa2910b92a598d42d8508989535ad7a7303b8b46e0c5862",
-            "ebe86aa9a426583a0001c9798609e78e3dba205c6bd6713959b0f71b1ba8d7dd",
+            "1a81de845f6fe3e003da8e004456c9a3eb77065d88d3616c6e2b7426d292ba44",
+            "fb5f8a9070a18263237e49cd4a99320360e7c06a9bb83229c5dc443afd1021bd",
+            "b25b4ef5b92d53894ee1c7ef189f55cb321bff78baa3bc06ee46298492d8632b",
         ),
         "wide_short": (
-            "0a1c2aab52891873dd8092cf563c459bc645d298a017134ef6f06c7d80e9b972",
-            "d9d19d7b98d62b51c22200b4dbdd0440344d587c618b39f8b31df23a0ba6874b",
-            "a1851bdf0328c07326690195174ca2dd08d58feb329f1641b2ce8fa7417315e4",
+            "e7aee57c256c7416ebc46dd226eb86a6ae15b02726367b2981722764726d7101",
+            "46a73e6ffb12bbb821e48a6e328753fbc8c09f2ee83076375372497223a497d4",
+            "7fe8cabecca49f0087ceba22cedecdd34f60f4ec152f5f2a21945d63419ca5f9",
         ),
     },
 }

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankflex import linalg
 from rankflex.errors import (
     DegenerateInputError,
     ParameterError,
@@ -140,17 +139,21 @@ class TestGramSchmidtExtend:
 
 
 class ScriptedRng:
-    """Hands out the scripted candidates in order, then a seeded stream;
-    logs the length of every draw."""
+    """Hands out the scripted candidates or blocks in order, then a seeded
+    stream; logs the length or shape of every draw."""
 
     def __init__(self, script):
         self.script = [np.array(v, dtype=np.float64) for v in script]
         self.rest = np.random.default_rng(0)
         self.draws = []
 
-    def standard_normal(self, n):
-        self.draws.append(n)
-        return self.script.pop(0) if self.script else self.rest.standard_normal(n)
+    def standard_normal(self, size):
+        self.draws.append(size)
+        if not self.script:
+            return self.rest.standard_normal(size)
+        block = self.script.pop(0)
+        assert block.shape == np.empty(size).shape
+        return block
 
 
 class TestGramSchmidtExtendProperties:
@@ -215,61 +218,40 @@ class TestGramSchmidtExtendProperties:
         assert scripted.draws == [rows] * 8
 
 
-def assert_same_bits(a, b):
-    assert a.shape == b.shape
-    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+def assert_matches_k_call_build(dim, k, seed):
+    """The QR build against the modified Gram-Schmidt reference, which
+    orthonormalizes column by column: equal to rounding, orthonormal, and
+    leaving the generator where the reference leaves it."""
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = orthonormal_columns(dim, k, got_rng)
+    want = oracles.orthonormal_columns_k_calls(dim, k, want_rng)
+    assert got.shape == want.shape == (dim, k)
+    assert np.max(np.abs(got - want)) <= 1e-10
+    assert np.max(np.abs(got.T @ got - np.eye(k))) <= 1e-12
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestOrthonormalColumns:
-    """The incremental build against the k-call build it replaces, which
+    """The QR build against the k-call Gram-Schmidt build, which
     re-orthonormalizes every earlier column for each new one."""
 
     @settings(max_examples=150, deadline=None)
     @given(dim=st.integers(1, 40), data=st.data(), seed=st.integers(0, 2**63))
     def test_bitwise_equal_to_k_call_build(self, dim, data, seed):
-        k = data.draw(st.integers(1, dim), label="k")
-        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = orthonormal_columns(dim, k, got_rng)
-        assert_same_bits(got, oracles.orthonormal_columns_k_calls(dim, k, want_rng))
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert_matches_k_call_build(dim, data.draw(st.integers(1, dim), label="k"), seed)
 
     def test_bitwise_equal_at_wide_teacher_size(self):
-        got_rng, want_rng = np.random.default_rng(401), np.random.default_rng(401)
-        got = orthonormal_columns(512, 64, got_rng)
-        assert_same_bits(got, oracles.orthonormal_columns_k_calls(512, 64, want_rng))
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
-        assert np.max(np.abs(got.T @ got - np.eye(64))) <= 1e-12
-
-    def test_candidate_in_span_is_redrawn_like_the_reference(self):
-        # Column 0 is e0 exactly, so candidates 5*e0 and -e0 project to zero.
-        script = [[2.0, 0, 0, 0, 0], [5.0, 0, 0, 0, 0], [-1.0, 0, 0, 0, 0]]
-        got_rng, want_rng = ScriptedRng(script), ScriptedRng(script)
-        got = orthonormal_columns(5, 3, got_rng)
-        assert_same_bits(got, oracles.orthonormal_columns_k_calls(5, 3, want_rng))
-        assert got_rng.draws == want_rng.draws == [5] * 5
-        assert_same_bits(got[:, 0], np.eye(5)[:, 0])
-        assert np.max(np.abs(got.T @ got - np.eye(3))) <= 1e-12
+        assert_matches_k_call_build(512, 64, 401)
 
     def test_degenerate_generator_gives_up(self):
+        scripted = ScriptedRng([np.zeros((2, 5))])
         with pytest.raises(DegenerateInputError):
-            orthonormal_columns(5, 2, ScriptedRng([np.zeros(5)] * 100))
+            orthonormal_columns(5, 2, scripted)
+        assert scripted.draws == [(2, 5)]
 
     def test_too_many_columns_rejected(self, rng):
         with pytest.raises(RankFullError):
             orthonormal_columns(4, 5, rng)
-
-    def test_each_column_orthonormalized_once(self, monkeypatch):
-        # The k-call build orthonormalizes k(k-1)/2 columns for k = 12: 66.
-        calls = []
-        inner = linalg._orthonormalize_into
-
-        def counting(*args):
-            calls.append(args)
-            return inner(*args)
-
-        monkeypatch.setattr(linalg, "_orthonormalize_into", counting)
-        orthonormal_columns(32, 12, np.random.default_rng(5))
-        assert len(calls) == 11
 
 
 class TestMatrixCsv:

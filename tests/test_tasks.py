@@ -131,20 +131,6 @@ class TestBuildTeacher:
         for depth in (0, 2):
             assert np.array_equal(a.layers[depth][1], b.layers[depth][1])
 
-    def test_each_factor_column_orthonormalized_once(self, monkeypatch):
-        # A rank-k factor orthonormalizes k - 1 columns, and each delta has
-        # two factors: 2 * (4 + 3). The k-call build would make 2 * (10 + 6).
-        calls = []
-        inner = linalg._orthonormalize_into
-
-        def counting(*args):
-            calls.append(args)
-            return inner(*args)
-
-        monkeypatch.setattr(linalg, "_orthonormalize_into", counting)
-        build_teacher(adapted_model(), teacher_task(ranks=(5, 4)), np.random.default_rng(48))
-        assert len(calls) == 14
-
 
 class TestSampling:
     def test_regression_shapes_and_determinism(self):
