@@ -154,6 +154,13 @@ class SvdAdapter:
         """Forward scaling alpha / r_init; fixed for the adapter's lifetime."""
         return self.alpha / self.r_init
 
+    def factors(self):
+        """(parameter name, array, direction axis) of P, lam and Q: the one
+        place their names are formed, and the axis holding one slice per
+        direction, which rank surgery deletes or appends."""
+        return ((f"{self.id}.p", self.p, 1), (f"{self.id}.lam", self.lam, 0),
+                (f"{self.id}.q", self.q, 0))
+
     # -- forward and backward ----------------------------------------------
 
     def forward(self, x):

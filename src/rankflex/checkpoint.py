@@ -180,20 +180,25 @@ def _parse_adapter(reader, base_w):
     if not head.startswith("adapter "):
         raise ParseError(f"line {reader.last}: expected adapter block, got {head!r}")
     adapter_id = head.split(" ", 1)[1]
+
+    def values(label, count):
+        parts = reader.next().split()
+        if parts[0] != label or len(parts) != count + 1:
+            raise ParseError(f"line {reader.last}: malformed adapter header: expected "
+                             f"{label!r} and {count} value(s), got {' '.join(parts)!r}")
+        return parts[1:]
+
     try:
-        _, d_out_s, d_in_s = reader.next().split()
-        d_out, d_in = int(d_out_s), int(d_in_s)
+        d_out, d_in = (int(v) for v in values("dims", 2))
         if (d_out, d_in) != base_w.shape:
             raise ParseError(
                 f"line {reader.last}: adapter {adapter_id!r} dims {d_out}x{d_in} != layer shape"
             )
-        rank = int(reader.next().split()[1])
-        r_init = int(reader.next().split()[1])
-        r_max = int(reader.next().split()[1])
-        alpha = float(reader.next().split()[1])
+        rank, r_init, r_max = (int(values(k, 1)[0]) for k in ("rank", "r_init", "r_max"))
+        alpha = float(values("alpha", 1)[0])
     except ParseError:
         raise
-    except (ValueError, IndexError):
+    except ValueError:
         raise ParseError(f"line {reader.last}: malformed adapter header") from None
     reader.next("P")
     p = reader.matrix(d_out, rank, "P")
@@ -249,17 +254,18 @@ def _parse_model(reader):
         try:
             d_in = int(fields["in"])
             d_out = int(fields["out"])
-            has_bias = fields["bias"] == "yes"
-            has_adapter = fields["adapter"] == "yes"
+            bias_flag, adapter_flag = fields["bias"], fields["adapter"]
         except KeyError as exc:
             raise ParseError(f"line {reader.last}: layer header missing {exc}") from None
+        if not {bias_flag, adapter_flag} <= {"yes", "no"}:
+            raise ParseError(f"line {reader.last}: bias= and adapter= must be yes or no")
         reader.next("base")
         base = reader.matrix(d_out, d_in, "base")
         bias = None
-        if has_bias:
+        if bias_flag == "yes":
             reader.next("bias")
             bias = reader.vector(d_out, "bias")
-        adapter = _parse_adapter(reader, base) if has_adapter else None
+        adapter = _parse_adapter(reader, base) if adapter_flag == "yes" else None
         layers.append(LinearLayer(base, bias=bias, adapter=adapter))
     if reader.pos != len(reader.lines):
         raise ParseError(f"line {reader.number(reader.pos)}: trailing content after last layer")

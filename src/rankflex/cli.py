@@ -17,6 +17,7 @@ directory against concurrent runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,7 +28,6 @@ from .checkpoint import checkpoint_lines
 from .config import apply_overrides, config_to_json, load_config_file, parse_config
 from .errors import (
     ConfigError,
-    DivergenceError,
     ParameterError,
     ParseError,
     RankflexError,
@@ -122,19 +122,17 @@ def cmd_train(args):
     except OSError as exc:
         raise ConfigError(f"output_dir {outdir}: cannot make it: {exc.strerror}") from None
     with _OutputLock(outdir):
-        try:
-            result = run_training(config)
-        except DivergenceError as exc:
-            _write_artifacts(outdir, config, exc.result, overrides)
-            print(f"diverged: {exc}", file=sys.stderr)
-            print(f"artifacts written to {outdir}")
-            return 3
+        result = run_training(config)
         _write_artifacts(outdir, config, result, overrides)
-    total_rank = sum(a.rank for a in result.model.adapters())
-    print(f"completed {config.schedule.total_steps} steps; "
-          f"final loss {result.final_loss:.6g}; total rank {total_rank}")
+    if result.diverged:
+        print(f"diverged: loss {result.final_loss} at step {result.abort['step']}",
+              file=sys.stderr)
+    else:
+        total_rank = sum(a.rank for a in result.model.adapters())
+        print(f"completed {config.schedule.total_steps} steps; "
+              f"final loss {result.final_loss:.6g}; total rank {total_rank}")
     print(f"artifacts written to {outdir}")
-    return 0
+    return 3 if result.diverged else 0
 
 
 def _load_spectrum_csv(path):
@@ -203,7 +201,9 @@ def cmd_replay_verify(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    # Built once: nothing mutates it, and parse_args returns a fresh namespace.
     parser = argparse.ArgumentParser(
         prog="rankflex",
         description="Dynamic-rank adapter engine: training, metrics, and trace tools.",

@@ -50,18 +50,6 @@ class TraceError(RankflexError, ValueError):
     """A trace file fails to parse or is internally inconsistent."""
 
 
-class DivergenceError(RankflexError, RuntimeError):
-    """Training loss became non-finite or exploded.
-
-    Carries the partial run as ``result`` so callers can still persist the
-    trace with its abort record.
-    """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
-
-
 def read_text(path, error, what):
     """Contents of the UTF-8 file ``path`` that a user named.
 

@@ -7,8 +7,8 @@ and every example occupies one column.
 
 Gradients are computed by hand in reverse order, each adapter's by
 ``SvdAdapter.backward``; an adapted layer shares its adapter's read-only base.
-Parameters travel as name-keyed dicts ("<adapter_id>.p" / ".lam" / ".q",
-"layer<i>.bias") so the optimizer can track rank surgery slice by slice.
+Parameters travel as name-keyed dicts, an adapter's factors under the names
+``SvdAdapter.factors`` gives them and a bias as "layer<i>.bias".
 """
 
 from __future__ import annotations
@@ -200,10 +200,7 @@ class ToyModel:
             if not isinstance(layer, LinearLayer):
                 continue
             if layer.adapter is not None:
-                a = layer.adapter
-                params[f"{a.id}.p"] = a.p
-                params[f"{a.id}.lam"] = a.lam
-                params[f"{a.id}.q"] = a.q
+                params.update((name, arr) for name, arr, _ in layer.adapter.factors())
             if layer.bias is not None:
                 params[f"layer{i}.bias"] = layer.bias
         return params
@@ -266,8 +263,9 @@ class ToyModel:
                 continue
             if cache["rank"] != a.rank:
                 raise StalenessError(f"adapter {a.id!r} rank changed since forward")
-            (dp, dlam, dq), g = a.backward(x, g, gamma)
-            grads.update({f"{a.id}.p": dp, f"{a.id}.lam": dlam, f"{a.id}.q": dq})
+            factor_grads, g = a.backward(x, g, gamma)
+            for (name, _, _), d in zip(a.factors(), factor_grads):
+                grads[name] = d
         return grads
 
 

@@ -3,7 +3,8 @@
 A hand-rolled optimizer is used instead of a framework import because rank
 changes must reach into the moment buffers: pruning an adapter direction
 deletes the matching slice of m and v, expansion appends zeros, and every
-untouched direction keeps its accumulated state. Weight decay is decoupled
+untouched direction keeps its accumulated state. The caller names the
+arrays a change touches and their direction axes. Weight decay is decoupled
 (applied directly to the parameter, not through the gradient), runs before
 the moment update, and skips any name passed in ``no_decay``.
 
@@ -121,12 +122,13 @@ class AdamW:
         self._upd_views = [self._upd[a:b].reshape(shape) for a, b, shape in spans]
         self._layout = layout
 
-    def sync_rank_change(self, event):
-        """Apply one AllocationEvent to the moments of the adapter's three
-        factors: a prune deletes the direction's slice, an expansion appends
-        a zero slice. Names without state yet are left alone."""
-        for suffix, axis in ((".p", 1), (".lam", 0), (".q", 0)):
-            st = self.state.get(event.adapter_id + suffix)
+    def sync_rank_change(self, event, axes):
+        """Apply one AllocationEvent to the moments of the names in ``axes``,
+        which maps each to its direction axis: a prune deletes the
+        direction's slice, an expansion appends a zero slice. Names without
+        state yet are left alone."""
+        for name, axis in axes.items():
+            st = self.state.get(name)
             if st is None:
                 continue
             for key in ("m", "v"):

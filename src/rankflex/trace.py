@@ -34,7 +34,7 @@ TRACE_VERSION = 1
 _HEADER_VALUES = {
     "version": lambda v: type(v) is int and v == TRACE_VERSION,
     "seed": lambda v: type(v) is int,
-    "mode": lambda v: isinstance(v, str),
+    "mode": lambda v: v in ALLOCATOR_MODES,
     "metric": lambda v: v in METRIC_VARIANTS,
 }
 _ABORT_VALUES = {
@@ -80,8 +80,8 @@ def _check_values(obj, checks, record, lineno):
 def read_trace(path):
     """Parse a trace file into (header, events, abort-or-None).
 
-    Structural problems, fields of the wrong type and an unknown version or
-    metric raise TraceError naming the offending line (1-based).
+    Structural problems, fields of the wrong type and an unknown version,
+    mode or metric raise TraceError naming the offending line (1-based).
     """
     raw = read_text(path, TraceError, "trace file").splitlines()
     lines = [(i + 1, ln) for i, ln in enumerate(raw) if ln.strip()]
@@ -141,9 +141,6 @@ def verify_trace(header, events, abort=None):
     problems = []
     schedule = _header_schedule(header)
     mode = header["mode"]
-    if mode not in ALLOCATOR_MODES:
-        problems.append(f"header: unknown mode {mode!r}")
-        return problems
     ranks = {}
     caps = {}
     for meta in header["adapters"]:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .allocator import ALLOCATOR_MODES, BudgetSchedule, apply_allocation, select_candidates
 from .adapter import InitStrategy
-from .errors import DivergenceError, ParameterError
+from .errors import ParameterError
 from .importance import MetricKind, SensitivityState, score_all, sensitivity_update
 from .linalg import split_rng
 from .model import LayerSpec, ToyModel, build_model
@@ -104,6 +104,10 @@ class TrainConfig:
         linear = [(i, spec) for i, spec in enumerate(self.layers) if spec.kind == "linear"]
         if not linear:
             raise ParameterError("layers need at least one linear layer")
+        ids = [spec.adapter.adapter_id for _, spec in linear if spec.adapter is not None]
+        for i, adapter_id in enumerate(ids):
+            if adapter_id in ids[:i]:
+                raise ParameterError(f"duplicate adapter id {adapter_id!r}")
         d_in = linear[0][1].d_in
         if self.task.input_dim != d_in:
             raise ParameterError(
@@ -152,8 +156,11 @@ class TrainResult:
     metrics: list
     final_loss: float
     teacher: object = None
-    diverged: bool = False
     abort: dict | None = None
+
+    @property
+    def diverged(self):
+        return self.abort is not None
 
 
 def _trace_header(config, model):
@@ -200,8 +207,8 @@ def _params_and_no_decay(model):
 def run_training(config):
     """Execute one run; returns a TrainResult.
 
-    Divergence raises DivergenceError whose ``result`` still carries the
-    partial trace with an abort record appended.
+    A diverging loss ends the run at that step: the result carries the
+    partial trace and metrics, and an abort record in ``abort``.
     """
     model_rng, task_rng, batch_rng, alloc_rng = split_rng(config.seed, 4)
 
@@ -228,13 +235,8 @@ def run_training(config):
     initial_loss = None
     loss = float("nan")
     params, no_decay = _params_and_no_decay(model)
-
-    def result(abort=None):
-        return TrainResult(
-            model=model, header=header, events=events, metrics=metrics,
-            final_loss=loss, teacher=teacher,
-            diverged=abort is not None, abort=abort,
-        )
+    axes = {a.id: {name: axis for name, _, axis in a.factors()} for a in adapters}
+    abort = None
 
     for t in range(schedule.total_steps):
         cols = batch_rng.integers(0, n, size=config.batch_size)
@@ -247,20 +249,15 @@ def run_training(config):
             initial_loss = loss
         if not np.isfinite(loss) or loss > DIVERGENCE_FACTOR * max(abs(initial_loss), 1e-12):
             abort = {"type": "abort", "step": t, "reason": "divergence", "loss": loss}
-            raise DivergenceError(
-                f"loss {loss} at step {t} (initial {initial_loss})", result(abort)
-            )
+            break
 
         grads = model.backward(caches, grad_out, gamma)
         if use_sensitivity:
             for a in adapters:
+                names, arrays, _ = zip(*a.factors())
                 states[a.id] = sensitivity_update(
-                    states[a.id],
-                    (a.p, a.lam, a.q),
-                    (grads[f"{a.id}.p"], grads[f"{a.id}.lam"], grads[f"{a.id}.q"]),
-                    config.metric.beta1,
-                    config.metric.beta2,
-                )
+                    states[a.id], arrays, [grads[name] for name in names],
+                    config.metric.beta1, config.metric.beta2)
         optimizer.step(params, grads, no_decay=no_decay)
 
         if adapters and schedule.is_allocation_step(t):
@@ -274,14 +271,15 @@ def run_training(config):
                         alloc_rng, step=t, scores=report.scores,
                     )
                     for event in step_events:
-                        optimizer.sync_rank_change(event)
+                        optimizer.sync_rank_change(event, axes[event.adapter_id])
                     events.extend(step_events)
                 params, no_decay = _params_and_no_decay(model)
 
         if t % config.log_every == 0 or t == schedule.total_steps - 1:
             metrics.append(_metrics_row(t, loss, model))
 
-    return result()
+    return TrainResult(model=model, header=header, events=events, metrics=metrics,
+                       final_loss=loss, teacher=teacher, abort=abort)
 
 
 def metrics_csv_lines(header, metrics):

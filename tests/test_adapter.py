@@ -278,6 +278,15 @@ class TestPrune:
         assert np.array_equal(a.lam, np.delete(l0, 1))
         assert np.array_equal(a.q, np.delete(q0, 1, axis=0))
 
+    def test_factors_name_the_live_arrays_and_their_direction_axes(self, rng):
+        a = make_adapter(rng, lam=np.array([3.0, 0.2, -1.0]))
+        before = a.factors()
+        assert [name for name, _, _ in before] == ["ad.p", "ad.lam", "ad.q"]
+        assert all(arr is live for (_, arr, _), live in zip(before, (a.p, a.lam, a.q)))
+        ev = a.prune_rank()
+        for (_, old, axis), (_, new, _) in zip(before, a.factors()):
+            assert np.array_equal(new, np.delete(old, ev.index, axis=axis))
+
     def test_min_rank_guard(self, rng):
         a = make_adapter(rng, r=1, lam=np.array([1.0]))
         with pytest.raises(MinRankError):

@@ -203,9 +203,26 @@ class TestParseErrors:
         ("v1", "rank 2", "rank 1", r"line 20: P shape \(5, 2\) != \(5, 1\)"),
         ("v1", "lambda\n0.04872092360793993,", "lambda\n", "line 26: lambda shape"),
         ("v1", "Q\n-0.0006957489458357208,", "Q\n", "line 28: row 1: expected 5 columns"),
+        # Each adapter header line must carry its own label and value count,
+        # and a layer header's flags must be yes or no.
+        ("v2", "dims 5 6", "dimz 5 6", "line 14: malformed adapter header: expected 'dims'"),
+        ("v2", "dims 5 6", "dims 5 6 7", "line 14: malformed adapter header: expected 'dims'"),
+        ("v2", "rank 2", "rnak 2", "line 15: malformed adapter header: expected 'rank'"),
+        ("v2", "r_init 2", "r_max 2", "line 16: malformed adapter header: expected 'r_init'"),
+        ("v2", "r_max 4", "r_max 4 4", "line 17: malformed adapter header: expected 'r_max'"),
+        ("v2", "alpha 8.0", "beta 16.0", "line 18: malformed adapter header: expected 'alpha'"),
+        ("v2", "bias=yes", "bias=maybe", "line 4: bias= and adapter= must be yes or no"),
+        ("v2", "adapter=yes", "adapter=maybe", "line 4: bias= and adapter= must be yes or no"),
+        ("v1", "dims 5 6", "dimz 5 6", "line 14: malformed adapter header: expected 'dims'"),
+        ("v1", "r_init 2", "r_max 2", "line 16: malformed adapter header: expected 'r_init'"),
+        ("v1", "alpha 8.0", "beta 16.0", "line 18: malformed adapter header: expected 'alpha'"),
+        ("v1", "bias=yes", "bias=maybe", "line 4: bias= and adapter= must be yes or no"),
     ], ids=["version", "layer-count", "field-without-equals", "r_max-below-rank",
             "loss", "base-cols", "base-cols-negative", "adapter-dims", "bias-length",
-            "v1-base-cols", "v1-adapter-dims", "v1-rank", "v1-lambda-length", "v1-Q-row"])
+            "v1-base-cols", "v1-adapter-dims", "v1-rank", "v1-lambda-length", "v1-Q-row",
+            "dims-label", "dims-count", "rank-label", "r_init-label", "r_max-count",
+            "alpha-label", "bias-flag", "adapter-flag", "v1-dims-label", "v1-r_init-label",
+            "v1-alpha-label", "v1-bias-flag"])
     def test_every_malformed_value_is_a_parse_error(self, source, old, new, message):
         text = "\n".join(v1_lines() if source == "v1" else self.lines())
         assert old in text

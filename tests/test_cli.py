@@ -186,9 +186,13 @@ class TestTrain:
         assert main(["train", cfg]) == 3
         captured = capsys.readouterr()
         assert "diverged" in captured.err
+        assert captured.err.startswith("diverged: loss ")
         outdir = tmp_path / "runs" / "cliunit"
+        for name in ARTIFACTS:
+            assert (outdir / name).is_file(), name
         header, events, abort = read_trace(outdir / "trace.jsonl")
         assert abort is not None and abort["reason"] == "divergence"
+        assert f"at step {abort['step']}" in captured.err
         assert verify_trace(header, events, abort) == []
         assert main(["replay-verify", str(outdir / "trace.jsonl")]) == 0
 
@@ -270,7 +274,8 @@ class TestTrain:
         ({"task.kind": "two_blobs"}, "task.kind 'two_blobs' needs loss 'softmax_ce'"),
         ({"task.kind": "two_blobs", "model.loss": "softmax_ce",
           "model.layers.2.d_out": 1}, "layers[2].d_out must be >= 2"),
-    ], ids=["chain", "teacher-ce", "blobs-mse", "blobs-one-class"])
+        ({"model.layers.2.adapter.id": "enc"}, "duplicate adapter id 'enc'"),
+    ], ids=["chain", "teacher-ce", "blobs-mse", "blobs-one-class", "duplicate-adapter-id"])
     def test_cross_field_errors_exit_2_before_output_dir(
             self, tmp_path, monkeypatch, capsys, edit, message):
         monkeypatch.chdir(tmp_path)
@@ -511,7 +516,8 @@ class TestTraceFieldTypes:
         (0, "total_steps", 100.5), (0, "delta_t", 5.0),
         (0, "version", 99), (0, "version", 1.0), (0, "version", True), (0, "version", "1"),
         (0, "seed", "abc"), (0, "seed", 1.5), (0, "seed", True),
-        (0, "mode", 7), (0, "mode", None), (0, "metric", ["x"]), (0, "metric", "x"),
+        (0, "mode", 7), (0, "mode", None), (0, "mode", "sideways"),
+        (0, "metric", ["x"]), (0, "metric", "x"),
         (3, "step", "x"), (3, "step", 12.0), (3, "step", True),
         (3, "reason", 7), (3, "reason", None),
         (3, "loss", "1e30"), (3, "loss", True), (3, "loss", None),

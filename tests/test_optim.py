@@ -141,6 +141,11 @@ class TestStep:
         assert w[0] < first < 0.0
 
 
+def axes(adapter_id="a"):
+    """The direction axis of each factor, as SvdAdapter.factors gives it."""
+    return {f"{adapter_id}.p": 1, f"{adapter_id}.lam": 0, f"{adapter_id}.q": 0}
+
+
 def rank_event(action, index, adapter_id="a"):
     """An event of adapter ``adapter_id`` at rank 3; only ``action`` and
     ``index`` reach the optimizer."""
@@ -164,7 +169,7 @@ class TestSurgery:
         _, opt = self.make_stateful(rng)
         m0 = opt.state["a.p"]["m"].copy()
         v0 = opt.state["a.p"]["v"].copy()
-        opt.sync_rank_change(rank_event("prune", 1))
+        opt.sync_rank_change(rank_event("prune", 1), axes())
         assert set(opt.state) == {"a.p"}
         assert np.array_equal(opt.state["a.p"]["m"], np.delete(m0, 1, axis=1))
         assert np.array_equal(opt.state["a.p"]["v"], np.delete(v0, 1, axis=1))
@@ -172,7 +177,7 @@ class TestSurgery:
     def test_expand_appends_zeros(self, rng):
         _, opt = self.make_stateful(rng)
         m0 = opt.state["a.p"]["m"].copy()
-        opt.sync_rank_change(rank_event("expand", 3))
+        opt.sync_rank_change(rank_event("expand", 3), axes())
         m1 = opt.state["a.p"]["m"]
         assert m1.shape == (4, 4)
         assert np.array_equal(m1[:, :3], m0)
@@ -180,8 +185,8 @@ class TestSurgery:
 
     def test_surgery_on_unseen_name_is_noop(self):
         opt = AdamW()
-        opt.sync_rank_change(rank_event("prune", 0, "ghost"))
-        opt.sync_rank_change(rank_event("expand", 3, "ghost"))
+        opt.sync_rank_change(rank_event("prune", 0, "ghost"), axes("ghost"))
+        opt.sync_rank_change(rank_event("expand", 3, "ghost"), axes("ghost"))
         assert opt.state == {}
 
     def test_sync_rank_change_prune(self, rng):
@@ -195,7 +200,7 @@ class TestSurgery:
         ev = AllocationEvent(step=1, adapter_id="a", action="prune",
                              rank_before=3, rank_after=2, score=0.5,
                              detail=0.0, index=1)
-        opt.sync_rank_change(ev)
+        opt.sync_rank_change(ev, axes())
         assert np.array_equal(opt.state["a.p"]["m"],
                               np.delete(saved["a.p"], 1, axis=1))
         assert np.array_equal(opt.state["a.lam"]["m"],
@@ -213,7 +218,7 @@ class TestSurgery:
         ev = AllocationEvent(step=1, adapter_id="a", action="expand",
                              rank_before=3, rank_after=4, score=0.5,
                              detail="zero_impact", index=3)
-        opt.sync_rank_change(ev)
+        opt.sync_rank_change(ev, axes())
         assert opt.state["a.p"]["m"].shape == (4, 4)
         assert opt.state["a.lam"]["v"].shape == (4,)
         assert opt.state["a.q"]["m"].shape == (4, 5)
@@ -225,8 +230,8 @@ class TestSurgery:
         p = rng.standard_normal((4, 3))
         opt.step({"a.p": p}, {"a.p": rng.standard_normal((4, 3))})
         kept = opt.state["a.p"]["m"][:, [0, 2]].copy()
-        opt.sync_rank_change(rank_event("prune", 1))
-        opt.sync_rank_change(rank_event("expand", 2))
+        opt.sync_rank_change(rank_event("prune", 1), axes())
+        opt.sync_rank_change(rank_event("expand", 2), axes())
         m = opt.state["a.p"]["m"]
         assert m.shape == (4, 3)
         assert np.array_equal(m[:, :2], kept)
@@ -293,7 +298,7 @@ class TestFlatBuffersMatchPerArray:
                         params["a.p"] = np.concatenate([params["a.p"], p_new[:, None]], axis=1)
                         params["a.lam"] = np.append(params["a.lam"], 0.0)
                         params["a.q"] = np.concatenate([params["a.q"], q_new[None, :]], axis=0)
-                    opt.sync_rank_change(ev)
+                    opt.sync_rank_change(ev, axes())
             flat, ref = runs
             assert flat.keys() == ref.keys()
             for name in ref:

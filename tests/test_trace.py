@@ -208,6 +208,11 @@ class TestReadErrors:
         with pytest.raises(TraceError, match="bad schedule"):
             read_trace(path)
 
+    def test_unknown_mode(self, tmp_path):
+        path = self.write_lines(tmp_path, trace_lines(make_header(mode="sideways"), []))
+        with pytest.raises(TraceError, match="line 1: bad header mode 'sideways'"):
+            read_trace(path)
+
     def test_bad_event_payload(self, tmp_path):
         lines = trace_lines(make_header(), [])
         bad = good_events()[0].to_json()
@@ -236,10 +241,6 @@ class TestVerify:
         adapters = [{"id": "enc", "r_init": 9, "r_max": 6, "depth": 0}]
         problems = verify_trace(make_header(adapters=adapters), [])
         assert any("r_init outside" in p for p in problems)
-
-    def test_unknown_mode(self):
-        problems = verify_trace(make_header(mode="sideways"), [])
-        assert problems == ["header: unknown mode 'sideways'"]
 
     def test_step_order(self):
         events = [ev(15, "enc", "prune", 3), ev(10, "dec", "prune", 3)]

@@ -7,7 +7,7 @@ from rankflex import training
 from rankflex.adapter import InitStrategy
 from rankflex.allocator import BudgetSchedule
 from rankflex.checkpoint import checkpoint_lines
-from rankflex.errors import DivergenceError, ParameterError
+from rankflex.errors import ParameterError
 from rankflex.importance import MetricKind
 from rankflex.model import AdapterSpec, LayerSpec, ToyModel
 from rankflex.tasks import SyntheticTask
@@ -294,21 +294,22 @@ class TestParameterCache:
 
 
 class TestDivergence:
-    def test_divergence_raises_with_partial_result(self):
+    def test_divergence_returns_partial_result(self):
         config = make_config(optimizer=OptimizerConfig(lr=1000.0),
                              task=SyntheticTask(kind="low_rank_teacher",
                                                 input_dim=10, sample_count=96,
                                                 teacher_ranks=(5, 1),
                                                 teacher_scale=3.0))
-        with pytest.raises(DivergenceError) as exc_info:
-            run_training(config)
-        result = exc_info.value.result
-        assert result is not None
+        result = run_training(config)
         assert result.diverged
         abort = result.abort
         assert abort["type"] == "abort"
         assert abort["reason"] == "divergence"
         assert abort["step"] >= 1
+        # The run stops at the diverging step: no later row or event.
+        assert result.final_loss == abort["loss"]
+        assert result.metrics and all(row["step"] < abort["step"] for row in result.metrics)
+        assert all(e.step < abort["step"] for e in result.events)
         assert verify_trace(result.header, result.events, abort) == []
 
 
