@@ -516,11 +516,11 @@ class TestTraceFieldTypes:
         (0, "total_steps", 100.5), (0, "delta_t", 5.0),
         (0, "version", 99), (0, "version", 1.0), (0, "version", True), (0, "version", "1"),
         (0, "seed", "abc"), (0, "seed", 1.5), (0, "seed", True),
-        (0, "mode", 7), (0, "mode", None), (0, "mode", "sideways"),
-        (0, "metric", ["x"]), (0, "metric", "x"),
+        (0, "mode", 7), (0, "mode", None), (0, "metric", ["x"]), (0, "metric", "x"),
         (3, "step", "x"), (3, "step", 12.0), (3, "step", True),
         (3, "reason", 7), (3, "reason", None),
         (3, "loss", "1e30"), (3, "loss", True), (3, "loss", None),
+        (0, "mode", "sideways"),
     ])
     def test_wrong_type_exits_1(self, tmp_path, capsys, line, key, value):
         records = typed_trace_records()
