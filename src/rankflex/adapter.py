@@ -34,6 +34,7 @@ from .errors import (
     MinRankError,
     ParameterError,
     ShapeError,
+    check_choice,
 )
 from .events import AllocationEvent
 from .linalg import gaussian_matrix, gram_schmidt_extend
@@ -61,8 +62,7 @@ class InitStrategy:
     gauss_std: float = 0.02
 
     def __post_init__(self):
-        if self.variant not in INIT_VARIANTS:
-            raise ParameterError(f"unknown init variant {self.variant!r}")
+        check_choice("variant", self.variant, INIT_VARIANTS)
         if not self.small_value > 0.0:
             raise ParameterError("small_value must be positive")
         if not self.gauss_std > 0.0:
@@ -108,8 +108,6 @@ class SvdAdapter:
             raise ShapeError(f"Q must be {r}x{d_in}, got {self.q.shape}")
         if self.r_init < 1:
             raise ParameterError("r_init must be >= 1")
-        if self.r_max < 1:
-            raise ParameterError("r_max must be >= 1")
         if not 1 <= r <= self.r_max:
             raise ParameterError(f"rank {r} outside [1, r_max={self.r_max}]")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):

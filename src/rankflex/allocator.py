@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, ParameterError, StalenessError
+from .errors import ConfigError, ParameterError, check_choice
 
 __all__ = [
     "ALLOCATOR_MODES",
@@ -88,8 +88,7 @@ def select_candidates(report, adapters, b, mode):
     """
     if b < 0:
         raise ParameterError("budget must be >= 0")
-    if mode not in ALLOCATOR_MODES:
-        raise ParameterError(f"unknown allocator mode {mode!r}")
+    check_choice("mode", mode, ALLOCATOR_MODES)
     adapters = list(adapters)
     scores = report.scores
     for a in adapters:
@@ -123,15 +122,11 @@ def select_candidates(report, adapters, b, mode):
 def apply_allocation(adapters, prune_ids, expand_ids, strategy, rng, step=0, scores=None):
     """Apply selected rank changes; prunes first, each side in id order.
 
-    Re-checks eligibility at application time: an adapter that slipped to
-    rank 1 or to its cap since selection raises StalenessError rather than
-    silently drifting the bookkeeping.
+    An adapter that slipped to rank 1 or to its cap since selection raises
+    the MinRankError or MaxRankError of its own prune or expand, before that
+    adapter changes or draws from ``rng``.
     """
-    by_id = {}
-    for a in adapters:
-        if a.id in by_id:
-            raise ConfigError(f"duplicate adapter id {a.id!r}")
-        by_id[a.id] = a
+    by_id = {a.id: a for a in adapters}
     both = set(prune_ids) & set(expand_ids)
     if both:
         raise ParameterError(f"ids in both lists: {sorted(both)}")
@@ -141,13 +136,8 @@ def apply_allocation(adapters, prune_ids, expand_ids, strategy, rng, step=0, sco
     scores = scores or {}
     events = []
     for aid in sorted(prune_ids):
-        a = by_id[aid]
-        if a.rank <= 1:
-            raise StalenessError(f"adapter {aid!r} reached rank 1 after selection")
-        events.append(a.prune_rank(step=step, score=scores.get(aid, math.nan)))
+        events.append(by_id[aid].prune_rank(step=step, score=scores.get(aid, math.nan)))
     for aid in sorted(expand_ids):
-        a = by_id[aid]
-        if a.rank >= a.r_max:
-            raise StalenessError(f"adapter {aid!r} reached its cap after selection")
-        events.append(a.expand_rank(strategy, rng, step=step, score=scores.get(aid, math.nan)))
+        events.append(by_id[aid].expand_rank(strategy, rng, step=step,
+                                             score=scores.get(aid, math.nan)))
     return events

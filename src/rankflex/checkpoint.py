@@ -246,17 +246,19 @@ def _parse_model(reader):
             raise ParseError(f"line {reader.last}: expected header for layer {i}")
         kind = parts[2]
         if kind in ACTIVATION_KINDS:
+            if len(parts) != 3:
+                raise ParseError(f"line {reader.last}: {kind} layer header takes no fields")
             layers.append(ActivationLayer(kind))
             continue
         if kind != "linear":
             raise ParseError(f"line {reader.last}: unknown layer kind {kind!r}")
-        fields = dict(p.split("=", 1) for p in parts[3:])
-        try:
-            d_in = int(fields["in"])
-            d_out = int(fields["out"])
-            bias_flag, adapter_flag = fields["bias"], fields["adapter"]
-        except KeyError as exc:
-            raise ParseError(f"line {reader.last}: layer header missing {exc}") from None
+        pairs = [p.split("=", 1) for p in parts[3:]]
+        fields = dict(pair for pair in pairs if len(pair) == 2)
+        if len(pairs) != 4 or sorted(fields) != ["adapter", "bias", "in", "out"]:
+            raise ParseError(f"line {reader.last}: linear layer header needs "
+                             "in=, out=, bias= and adapter=, once each")
+        d_in, d_out = int(fields["in"]), int(fields["out"])
+        bias_flag, adapter_flag = fields["bias"], fields["adapter"]
         if not {bias_flag, adapter_flag} <= {"yes", "no"}:
             raise ParseError(f"line {reader.last}: bias= and adapter= must be yes or no")
         reader.next("base")

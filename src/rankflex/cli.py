@@ -6,8 +6,9 @@ export-heatmap (pivot a trace to rank-over-time CSV), and replay-verify
 (re-run a trace's bookkeeping and report violations).
 
 Exit codes: 0 success, 1 runtime failure (lock conflict, bad trace, failed
-verification), 2 configuration or usage error, 3 training divergence (the
-partial trace with its abort record is still written).
+verification, out of memory), 2 configuration or usage error (an unwritable
+output path included), 3 training divergence (the partial trace with its
+abort record is still written).
 
 Artifacts are written atomically (temp file + rename in the target
 directory) and a ``.lock`` file taken with O_EXCL guards each output
@@ -46,13 +47,19 @@ OUTPUT_DIR_ENV = "RANKFLEX_OUTPUT_DIR"
 
 def _atomic_write(path, text):
     """Replace ``path`` by a new regular file; an existing target of another
-    kind (a named pipe, a device, a directory) is refused, not replaced."""
+    kind (a named pipe, a device, a directory) is refused, not replaced, and
+    a failed write leaves no temporary file behind."""
     path = Path(path)
     if path.exists() and not path.is_file():
         raise ParameterError(f"{path}: exists and is not a regular file")
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as exc:
+        if tmp.is_file():
+            tmp.unlink()
+        raise ParameterError(f"{path}: cannot write it: {exc.strerror}") from None
 
 
 class _OutputLock:
@@ -257,6 +264,9 @@ def main(argv=None):
         return 1
     except RankflexError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

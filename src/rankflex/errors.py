@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the reader that maps a
-user-named file's I/O failures onto them."""
+"""Exception types shared across the package, the check of a choice field,
+and the reader that maps a user-named file's I/O failures onto them."""
 
 
 class RankflexError(Exception):
@@ -48,6 +48,13 @@ class ConfigError(RankflexError, ValueError):
 
 class TraceError(RankflexError, ValueError):
     """A trace file fails to parse or is internally inconsistent."""
+
+
+def check_choice(name, value, choices):
+    """Raise ParameterError, naming the field and the accepted values,
+    unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise ParameterError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
 
 
 def read_text(path, error, what):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSpectrumError, ParameterError, ShapeError
+from .errors import ConfigError, DegenerateSpectrumError, ParameterError, ShapeError, check_choice
 
 __all__ = [
     "EPSILON_DEFAULT",
@@ -68,8 +68,7 @@ class MetricKind:
     beta2: float = 0.85
 
     def __post_init__(self):
-        if self.variant not in METRIC_VARIANTS:
-            raise ParameterError(f"unknown metric variant {self.variant!r}")
+        check_choice("variant", self.variant, METRIC_VARIANTS)
         _check_epsilon(self.epsilon)
         for name in ("beta1", "beta2"):
             b = getattr(self, name)
@@ -251,8 +250,6 @@ def score_all(adapters, metric, states=None, step=0):
     scores = {}
     flags = {}
     for a in sorted(adapters, key=lambda a: a.id):
-        if a.id in scores:
-            raise ConfigError(f"adapters: duplicate id {a.id!r}")
         if metric.variant == "sensitivity":
             state = states.get(a.id)
             if state is None:

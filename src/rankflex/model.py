@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapter import SvdAdapter, _check_id
-from .errors import ConfigError, ParameterError, ShapeError, StalenessError
+from .errors import ConfigError, ParameterError, ShapeError, StalenessError, check_choice
 from .linalg import gaussian_matrix
 
 __all__ = [
@@ -69,8 +69,8 @@ class LayerSpec:
             if self.d_in < 1 or self.d_out < 1:
                 raise ParameterError(
                     f"linear layer needs d_in >= 1 and d_out >= 1, got {self.d_in}x{self.d_out}")
-        elif self.kind not in ACTIVATION_KINDS:
-            raise ParameterError(f"unknown layer kind {self.kind!r}")
+        else:
+            check_choice("kind", self.kind, ("linear",) + ACTIVATION_KINDS)
 
 
 class LinearLayer:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, check_choice
 from .linalg import orthonormal_columns
 # Unused here; bench/tracer.py hooks this name until ROADMAP item 1 lands.
 from .linalg import gram_schmidt_extend  # noqa: F401
@@ -54,8 +54,7 @@ class SyntheticTask:
     blob_separation: float = 4.0
 
     def __post_init__(self):
-        if self.kind not in TASK_KINDS:
-            raise ParameterError(f"unknown task kind {self.kind!r}")
+        check_choice("kind", self.kind, TASK_KINDS)
         if self.input_dim < 1:
             raise ParameterError("input_dim must be >= 1")
         if self.sample_count < 1:

@@ -6,9 +6,10 @@ and at most one trailing abort record. Keys are sorted and separators fixed,
 so identical runs serialize to identical bytes.
 
 ``verify_trace`` replays the bookkeeping from scratch — rank bounds, step
-legality against the schedule, per-step budget caps, mode conformance, and
-exact rank conservation in bidirectional mode — and reports every violation
-with its line context.
+legality against the schedule, per-step budget caps, mode conformance,
+exact rank conservation in bidirectional mode, and an abort step inside the
+run and after every event — and reports every violation with its line
+context.
 """
 
 from __future__ import annotations
@@ -202,6 +203,13 @@ def verify_trace(header, events, abort=None):
         for key in ("step", "reason"):
             if key not in abort:
                 problems.append(f"abort record missing {key!r}")
+        # A run aborts at the top of its step, before that step allocates.
+        step = abort.get("step")
+        if step is not None and not 0 <= step < schedule.total_steps:
+            problems.append(f"abort step {step} outside [0, {schedule.total_steps})")
+        last = max((e.step for e in events), default=None)
+        if step is not None and last is not None and last >= step:
+            problems.append(f"abort step {step} not after the last event's step {last}")
     return problems
 
 

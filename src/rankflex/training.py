@@ -24,10 +24,10 @@ import numpy as np
 
 from .allocator import ALLOCATOR_MODES, BudgetSchedule, apply_allocation, select_candidates
 from .adapter import InitStrategy
-from .errors import ParameterError
+from .errors import ParameterError, check_choice
 from .importance import MetricKind, SensitivityState, score_all, sensitivity_update
 from .linalg import split_rng
-from .model import LayerSpec, ToyModel, build_model
+from .model import LOSS_KINDS, LayerSpec, ToyModel, build_model
 from .optim import AdamW
 from .tasks import (
     SyntheticTask,
@@ -93,8 +93,8 @@ class TrainConfig:
             raise ParameterError("name must be non-empty")
         if self.seed < 0:
             raise ParameterError("seed must be >= 0")
-        if self.mode not in ALLOCATOR_MODES:
-            raise ParameterError(f"unknown allocator mode {self.mode!r}")
+        check_choice("mode", self.mode, ALLOCATOR_MODES)
+        check_choice("loss", self.loss, LOSS_KINDS)
         if not self.regularizer_weight >= 0.0:
             raise ParameterError("regularizer_weight must be >= 0")
         if self.batch_size < 1:
@@ -126,16 +126,13 @@ class TrainConfig:
         if self.task.kind == "low_rank_teacher":
             check_teacher_ranks(self.task.teacher_ranks, [
                 (spec.d_out, spec.d_in) for _, spec in linear if spec.adapter is not None])
-        if self.init_strategy.variant in ("small_init", "orthogonal_init"):
-            # These variants expand along directions orthogonal to the
-            # existing factors, and a d-dimensional space holds only d.
-            for spec in self.layers:
-                a = spec.adapter
-                if a is not None and a.r_max > min(spec.d_in, spec.d_out):
-                    raise ParameterError(
-                        f"adapter {a.adapter_id!r}: {self.init_strategy.variant} needs "
-                        f"r_max <= min(d_in, d_out) = {min(spec.d_in, spec.d_out)}, "
-                        f"got {a.r_max}")
+        # An adapter's rank counts independent directions of its layer's
+        # weight, and a d-dimensional side holds only d of them.
+        for i, spec in linear:
+            a = spec.adapter
+            if a is not None and a.r_max > min(spec.d_in, spec.d_out):
+                raise ParameterError(f"layers[{i}].adapter.r_max {a.r_max} > "
+                                     f"min(d_in, d_out) = {min(spec.d_in, spec.d_out)}")
 
     def fingerprint(self):
         """Deterministic hash of the config (nested dataclass repr).

@@ -21,6 +21,7 @@ from rankflex.model import AdapterSpec, LayerSpec, ToyModel, build_model
 # sample_model()'s checkpoint as the version-1 writer produced it.
 V1_FIXTURE = Path(__file__).resolve().parent / "data" / "checkpoint_v1.txt"
 LINE_ERROR = re.compile(r"line \d+: (?!line ).*")
+LINEAR_HEADER = "linear layer header needs in=, out=, bias= and adapter=, once each"
 
 
 def v1_lines():
@@ -191,7 +192,7 @@ class TestParseErrors:
     @pytest.mark.parametrize("source, old, new, message", [
         ("v2", "rankflex-checkpoint 2", "rankflex-checkpoint x", "line 1: unsupported version"),
         ("v2", "layers 3", "layers x", "line 3: "),
-        ("v2", " bias=yes ", " bias ", "line 4: "),
+        ("v2", " bias=yes ", " bias ", f"line 4: {LINEAR_HEADER}"),
         ("v2", "r_max 4", "r_max 1", r"line 29: rank 2 outside \[1, r_max=1\]"),
         ("v2", "loss mse", "loss hinge", "line 2: unknown loss"),
         ("v2", "in=6", "in=7", r"line 6: base shape \(5, 7\)"),
@@ -217,12 +218,26 @@ class TestParseErrors:
         ("v1", "r_init 2", "r_max 2", "line 16: malformed adapter header: expected 'r_init'"),
         ("v1", "alpha 8.0", "beta 16.0", "line 18: malformed adapter header: expected 'alpha'"),
         ("v1", "bias=yes", "bias=maybe", "line 4: bias= and adapter= must be yes or no"),
+        # A linear layer header carries in=, out=, bias= and adapter= once
+        # each, and an activation layer header is exactly three tokens.
+        ("v2", "adapter=yes", "adapter=yes junk=1", f"line 4: {LINEAR_HEADER}"),
+        ("v2", "adapter=yes", "adapter=yes in=6", f"line 4: {LINEAR_HEADER}"),
+        ("v2", "in=6 out=5", "in=6 in=6", f"line 4: {LINEAR_HEADER}"),
+        ("v2", "layer 1 relu", "layer 1 relu extra", "line 30: relu layer header takes no fields"),
+        ("v1", "adapter=yes", "adapter=yes junk=1", f"line 4: {LINEAR_HEADER}"),
+        ("v1", "adapter=yes", "adapter=yes in=6", f"line 4: {LINEAR_HEADER}"),
+        ("v1", "in=6 out=5", "in=6 in=6", f"line 4: {LINEAR_HEADER}"),
+        ("v1", " bias=yes ", " bias ", f"line 4: {LINEAR_HEADER}"),
+        ("v1", "layer 1 relu", "layer 1 relu extra", "line 30: relu layer header takes no fields"),
     ], ids=["version", "layer-count", "field-without-equals", "r_max-below-rank",
             "loss", "base-cols", "base-cols-negative", "adapter-dims", "bias-length",
             "v1-base-cols", "v1-adapter-dims", "v1-rank", "v1-lambda-length", "v1-Q-row",
             "dims-label", "dims-count", "rank-label", "r_init-label", "r_max-count",
             "alpha-label", "bias-flag", "adapter-flag", "v1-dims-label", "v1-r_init-label",
-            "v1-alpha-label", "v1-bias-flag"])
+            "v1-alpha-label", "v1-bias-flag", "unknown-field", "repeated-field",
+            "repeated-field-replacing-one", "activation-extra",
+            "v1-unknown-field", "v1-repeated-field", "v1-repeated-field-replacing-one",
+            "v1-field-without-equals", "v1-activation-extra"])
     def test_every_malformed_value_is_a_parse_error(self, source, old, new, message):
         text = "\n".join(v1_lines() if source == "v1" else self.lines())
         assert old in text

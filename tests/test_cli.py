@@ -275,7 +275,14 @@ class TestTrain:
         ({"task.kind": "two_blobs", "model.loss": "softmax_ce",
           "model.layers.2.d_out": 1}, "layers[2].d_out must be >= 2"),
         ({"model.layers.2.adapter.id": "enc"}, "duplicate adapter id 'enc'"),
-    ], ids=["chain", "teacher-ce", "blobs-mse", "blobs-one-class", "duplicate-adapter-id"])
+        ({"mode": "diagonal"}, "error: config: mode must be one of bidirectional, prune_only, "
+                               "expand_only, got 'diagonal'"),
+        ({"batch_size": 10**20}, "config.batch_size: must fit in a signed 64-bit integer"),
+        ({"task.sample_count": 10**20},
+         "config.task.sample_count: must fit in a signed 64-bit integer"),
+        ({"seed": 10**20}, "config.seed: must fit in a signed 64-bit integer"),
+    ], ids=["chain", "teacher-ce", "blobs-mse", "blobs-one-class", "duplicate-adapter-id",
+            "bad-choice", "int64-batch_size", "int64-sample_count", "int64-seed"])
     def test_cross_field_errors_exit_2_before_output_dir(
             self, tmp_path, monkeypatch, capsys, edit, message):
         monkeypatch.chdir(tmp_path)
@@ -283,6 +290,15 @@ class TestTrain:
         assert main(["train", write_config(tmp_path), *overrides]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    def test_out_of_memory_exits_1(self, tmp_path, monkeypatch, capsys):
+        # 10**17 int64 batch indices need 8e17 bytes, more than even a
+        # 57-bit virtual address space holds, so the allocation fails at once.
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", write_config(tmp_path), f"batch_size={10**17}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert not (tmp_path / "runs" / "cliunit" / ".lock").exists()
 
 
 class TestImportance:
@@ -432,6 +448,28 @@ class TestExportHeatmap:
         assert "not a regular file" in capsys.readouterr().err
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
+    @pytest.mark.parametrize("target", ["missing/heat.csv", "afile/heat.csv"])
+    def test_out_in_a_missing_directory_or_under_a_file_exits_2(
+            self, trained_dir, tmp_path, capsys, target):
+        (tmp_path / "afile").write_text("")
+        dest = tmp_path / target
+        trace = str(trained_dir / "trace.jsonl")
+        assert main(["export-heatmap", trace, "--out", str(dest)]) == 2
+        assert f"error: {dest}: cannot write it" in capsys.readouterr().err
+        assert (tmp_path / "afile").read_text() == ""
+        assert not (tmp_path / "missing").exists()
+
+    def test_failed_rename_leaves_no_temporary_file(self, trained_dir, tmp_path,
+                                                    monkeypatch, capsys):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        trace = str(trained_dir / "trace.jsonl")
+        assert main(["export-heatmap", trace, "--out", str(tmp_path / "heat.csv")]) == 2
+        assert "cannot write it: Permission denied" in capsys.readouterr().err
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith("heat.csv")]
+
     def test_missing_trace_exits_1(self, tmp_path, capsys):
         assert main(["export-heatmap", str(tmp_path / "none.jsonl")]) == 1
         assert "not found" in capsys.readouterr().err
@@ -477,6 +515,15 @@ class TestReplayVerify:
         trace.write_text("\n".join(lines) + "\n")
         assert main(["replay-verify", str(trace)]) == 1
         assert "header adapters" in capsys.readouterr().err
+
+    def test_abort_before_an_event_fails(self, trained_dir, capsys):
+        trace = trained_dir / "trace.jsonl"
+        first_step = json.loads(trace.read_text().splitlines()[1])["step"]
+        abort = {"type": "abort", "step": first_step, "reason": "divergence"}
+        with trace.open("a") as fh:
+            fh.write(json.dumps(abort) + "\n")
+        assert main(["replay-verify", str(trace)]) == 1
+        assert f"abort step {first_step} not after" in capsys.readouterr().err
 
 
 def typed_trace_records():

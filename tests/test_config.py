@@ -116,14 +116,37 @@ class TestParse:
             parse_config(raw)
 
     def test_bad_choice_values(self):
-        raw = minimal_config()
-        raw["mode"] = "diagonal"
-        with pytest.raises(ConfigError, match="config.mode"):
-            parse_config(raw)
-        raw = minimal_config()
-        raw["metric"] = {"variant": "entropy"}
-        with pytest.raises(ConfigError, match="config.metric.variant"):
-            parse_config(raw)
+        # Each choice is checked by the type that owns the field; the error
+        # names the section, the field and every accepted value.
+        cases = [
+            (("model", "loss"), "hinge",
+             "config: loss must be one of mse, softmax_ce, got 'hinge'"),
+            (("mode",), "diagonal",
+             "config: mode must be one of bidirectional, prune_only, expand_only, "
+             "got 'diagonal'"),
+            (("model", "layers", 1, "type"), "sigmoid",
+             "config.model.layers[1]: kind must be one of linear, tanh, relu, "
+             "got 'sigmoid'"),
+            (("task", "kind"), "spiral",
+             "config.task: kind must be one of low_rank_teacher, two_blobs, got 'spiral'"),
+            (("metric", "variant"), "entropy",
+             "config.metric: variant must be one of spectral_entropy, nuclear, frobenius, "
+             "sensitivity, elem_energy_entropy, mat_energy_entropy, got 'entropy'"),
+            (("init_strategy", "variant"), "random",
+             "config.init_strategy: variant must be one of zero_impact, small_init, "
+             "zero_init, orthogonal_init, got 'random'"),
+        ]
+        for path, value, message in cases:
+            raw = minimal_config()
+            raw.setdefault("metric", {})
+            raw.setdefault("init_strategy", {})
+            target = raw
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+            with pytest.raises(ConfigError) as info:
+                parse_config(raw)
+            assert str(info.value) == message
 
     def test_schema_version_checked(self):
         raw = minimal_config()

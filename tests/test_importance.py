@@ -254,12 +254,6 @@ class TestScoreAll:
         with pytest.raises(ConfigError):
             score_all([], MetricKind("nuclear"))
 
-    def test_duplicate_ids_rejected(self):
-        ads = adapters_from([[1.0], [1.0]])
-        ads[1].id = "a0"
-        with pytest.raises(ConfigError):
-            score_all(ads, MetricKind("nuclear"))
-
     def test_sensitivity_needs_state(self):
         ads = adapters_from([[1.0, 2.0]])
         with pytest.raises(ParameterError):

@@ -293,11 +293,25 @@ class TestVerify:
 
     def test_abort_record_fields(self):
         problems = verify_trace(make_header(), good_events(),
-                                abort={"type": "abort", "step": 3})
+                                abort={"type": "abort", "step": 16})
         assert any("abort record missing 'reason'" in p for p in problems)
         assert verify_trace(make_header(), good_events(),
-                            abort={"type": "abort", "step": 3,
+                            abort={"type": "abort", "step": 16,
                                    "reason": "divergence"}) == []
+
+    @pytest.mark.parametrize("step, problem", [
+        (15, "abort step 15 not after the last event's step 15"),
+        (3, "abort step 3 not after the last event's step 15"),
+        (-3, "abort step -3 outside [0, 100)"),
+        (100, "abort step 100 outside [0, 100)"),
+    ], ids=["at-last-event", "before-events", "negative", "at-total-steps"])
+    def test_abort_step_contradicting_the_run(self, step, problem):
+        # The run stops at the top of the abort step, before it allocates,
+        # so every event lies before it and the step lies inside the run.
+        abort = {"type": "abort", "step": step, "reason": "divergence"}
+        assert problem in verify_trace(make_header(), good_events(), abort)
+        assert verify_trace(make_header(), [], {**abort, "step": 0}) == []
+        assert verify_trace(make_header(), [], {**abort, "step": 99}) == []
 
 
 class TestHeatmap:

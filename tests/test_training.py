@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rankflex import training
-from rankflex.adapter import InitStrategy
+from rankflex.adapter import INIT_VARIANTS, InitStrategy
 from rankflex.allocator import BudgetSchedule
 from rankflex.checkpoint import checkpoint_lines
 from rankflex.errors import ParameterError
@@ -87,8 +87,8 @@ class TestConfigValidation:
             make_config(loss="hinge")
 
     def test_orthogonal_expansion_needs_r_max_within_dims(self):
-        # An expansion orthogonal to r_max - 1 directions needs r_max of them
-        # in the 3-dimensional side of this adapter.
+        # A 3-dimensional side holds at most 3 independent directions, so
+        # r_max 4 is rejected whatever the init variant.
         def config(variant):
             return make_config(
                 layers=(LayerSpec("linear", 4, 3, adapter=AdapterSpec("a", 2, 4)),
@@ -98,11 +98,10 @@ class TestConfigValidation:
                 schedule=BudgetSchedule(1, 0, 0, 20, 1), mode="expand_only",
                 init_strategy=InitStrategy(variant))
 
-        for variant in ("orthogonal_init", "small_init"):
-            with pytest.raises(ParameterError, match="r_max"):
+        for variant in INIT_VARIANTS:
+            with pytest.raises(ParameterError, match=r"layers\[0\].adapter.r_max 4 > "
+                                                     r"min\(d_in, d_out\) = 3"):
                 config(variant)
-        result = run_training(config("zero_impact"))
-        assert result.model.adapters()[0].rank == 4
         with pytest.raises(ParameterError):
             make_config(layers=())
 
@@ -217,7 +216,7 @@ class TestTrainingProgress:
                       adapter=AdapterSpec("enc", 3, 6)),
             LayerSpec("tanh"),
             LayerSpec("linear", d_in=8, d_out=2,
-                      adapter=AdapterSpec("dec", 3, 6)),
+                      adapter=AdapterSpec("dec", 1, 2)),
         )
         result = run_training(make_config(task=task, layers=layers,
                                           loss="softmax_ce"))
