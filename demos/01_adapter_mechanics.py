@@ -1,7 +1,7 @@
 """A tour of the SVD-form adapter: create, forward, prune, expand.
 
-The adapter keeps a weight update factored as P diag(lam) Q next to a
-frozen base matrix. Directions are the unit of change: pruning removes the
+The adapter keeps a weight update factored as P diag(lam) Q; the linear
+layer it adapts owns the frozen base matrix. Directions are the unit of change: pruning removes the
 weakest (P column, lam entry, Q row) triple, expansion appends one. The
 zero-impact expansion variant appends a direction with lam = 0, which the
 masked forward skips entirely, so the outputs do not move by even one bit.
@@ -10,16 +10,18 @@ masked forward skips entirely, so the outputs do not move by even one bit.
 import numpy as np
 
 from rankflex.adapter import InitStrategy, SvdAdapter
+from rankflex.model import LinearLayer
 
 rng = np.random.default_rng(7)
 
 base = rng.standard_normal((6, 5))
-adapter = SvdAdapter.create("demo", base, r_init=3, r_max=5, alpha=8.0, rng=rng)
+adapter = SvdAdapter.create("demo", 6, 5, r_init=3, r_max=5, alpha=8.0, rng=rng)
+layer = LinearLayer(base, adapter=adapter)
 x = rng.standard_normal((5, 4))
 
 print("== fresh adapter ==")
 print(f"rank {adapter.rank}, cap {adapter.r_max}, scale alpha/r_init = {adapter.scale}")
-same = np.array_equal(adapter.forward(x), base @ x)
+same = np.array_equal(layer.forward(x), base @ x)
 print(f"lam starts at zero, so forward == base @ x exactly: {same}")
 
 adapter.lam[:] = [0.9, -0.4, 0.05]
@@ -37,9 +39,9 @@ print(f"event: {event.action} index {event.index} (|lam| was {event.detail:.3f})
 print(f"surviving lam = {adapter.lam}")
 
 print("\n== zero-impact expansion ==")
-before = adapter.forward(x)
+before = layer.forward(x)
 event = adapter.expand_rank(InitStrategy("zero_impact"), rng, step=2)
-after = adapter.forward(x)
+after = layer.forward(x)
 print(f"event: {event.action} at index {event.index}, rank {event.rank_before} -> {event.rank_after}")
 print(f"outputs bitwise identical across the expansion: {before.tobytes() == after.tobytes()}")
 

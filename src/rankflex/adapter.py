@@ -1,17 +1,19 @@
-"""SVD-form low-rank adapters with runtime rank surgery.
+"""SVD-form low-rank updates with runtime rank surgery.
 
-An adapter augments a frozen base weight W (d_out x d_in) with three trainable
-factors: P (d_out x r), a singular-value vector lam (length r), and
-Q (r x d_in). The effective weight is
+An adapter is the trainable update of a frozen weight W (d_out x d_in) that
+its ``LinearLayer`` owns. It holds three factors: P (d_out x r), a
+singular-value vector lam (length r), and Q (r x d_in). The layer's
+effective weight is
 
     W + (alpha / r_init) * P @ diag(lam) @ Q
 
-but neither ``forward`` nor ``backward`` (the factor and input gradients)
-materializes it: inputs flow through Q, the scaled singular values, then P.
-Ranks move one direction at a time — pruning removes the column with the
-smallest |lam|, expansion appends a fresh direction under one of four init
-schemes — so a run's capacity can be reshaped mid-training without touching
-the base weight.
+but neither ``forward`` (which adds the update to the layer's W @ x) nor
+``backward`` (the factor gradients and the update's share of the input
+gradient) materializes it: inputs flow through Q, the scaled singular
+values, then P. Ranks move one direction at a time — pruning removes the
+column with the smallest |lam|, expansion appends a fresh direction under
+one of four init schemes — so a run's capacity can be reshaped mid-training
+without touching W.
 
 Directions whose lam entry is exactly zero are skipped by the forward pass.
 Besides saving work, this makes zero-impact expansion literally zero impact:
@@ -78,19 +80,14 @@ def _check_id(adapter_id):
 
 
 class SvdAdapter:
-    """Frozen base weight plus trainable factors P, lam, Q.
+    """Trainable factors P, lam, Q of a low-rank update.
 
     The factor arrays are ordinary ndarrays and are updated in place by the
-    optimizer; prune/expand replace them wholesale. ``base_w`` is read-only.
+    optimizer; prune/expand replace them wholesale.
     """
 
-    def __init__(self, adapter_id, base_w, p, lam, q, *, r_init, r_max, alpha):
+    def __init__(self, adapter_id, p, lam, q, *, r_init, r_max, alpha):
         self.id = _check_id(adapter_id)
-        base = np.array(base_w, dtype=np.float64)
-        if base.ndim != 2:
-            raise ShapeError("base_w must be 2-D")
-        base.flags.writeable = False
-        self.base_w = base
         self.p = np.array(p, dtype=np.float64, order="C")
         self.lam = np.array(lam, dtype=np.float64).reshape(-1)
         self.q = np.array(q, dtype=np.float64, order="C")
@@ -100,48 +97,43 @@ class SvdAdapter:
         self._validate()
 
     def _validate(self):
-        d_out, d_in = self.base_w.shape
         r = self.lam.size
-        if self.p.ndim != 2 or self.p.shape != (d_out, r):
-            raise ShapeError(f"P must be {d_out}x{r}, got {self.p.shape}")
-        if self.q.ndim != 2 or self.q.shape != (r, d_in):
-            raise ShapeError(f"Q must be {r}x{d_in}, got {self.q.shape}")
+        if self.p.ndim != 2 or self.p.shape[1] != r:
+            raise ShapeError(f"P must have {r} columns, got shape {self.p.shape}")
+        if self.q.ndim != 2 or self.q.shape[0] != r:
+            raise ShapeError(f"Q must have {r} rows, got shape {self.q.shape}")
         if self.r_init < 1:
             raise ParameterError("r_init must be >= 1")
         if not 1 <= r <= self.r_max:
             raise ParameterError(f"rank {r} outside [1, r_max={self.r_max}]")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ParameterError("alpha must be positive and finite")
-        for name, arr in (("base_w", self.base_w), ("P", self.p), ("lam", self.lam), ("Q", self.q)):
+        for name, arr in (("P", self.p), ("lam", self.lam), ("Q", self.q)):
             if not np.all(np.isfinite(arr)):
                 raise ParameterError(f"{name} contains non-finite entries")
 
     @classmethod
-    def create(cls, adapter_id, base_w, *, r_init, r_max, alpha, rng, init_std=0.02):
-        """Fresh adapter at rank ``r_init``.
+    def create(cls, adapter_id, d_out, d_in, *, r_init, r_max, alpha, rng, init_std=0.02):
+        """Fresh adapter at rank ``r_init`` for a d_out x d_in weight.
 
-        lam starts at zero so the effective weight is exactly the base; P and
+        lam starts at zero so the effective weight is exactly W; P and
         Q start Gaussian so lam sees a nonzero gradient from the first step
         (all-zero factors would gate every gradient to zero permanently).
         """
-        base = np.asarray(base_w, dtype=np.float64)
-        if base.ndim != 2:
-            raise ShapeError("base_w must be 2-D")
-        d_out, d_in = base.shape
         p = gaussian_matrix(d_out, r_init, init_std, rng)
         q = gaussian_matrix(r_init, d_in, init_std, rng)
         lam = np.zeros(r_init)
-        return cls(adapter_id, base, p, lam, q, r_init=r_init, r_max=r_max, alpha=alpha)
+        return cls(adapter_id, p, lam, q, r_init=r_init, r_max=r_max, alpha=alpha)
 
     # -- introspection -----------------------------------------------------
 
     @property
     def d_out(self):
-        return self.base_w.shape[0]
+        return self.p.shape[0]
 
     @property
     def d_in(self):
-        return self.base_w.shape[1]
+        return self.q.shape[1]
 
     @property
     def rank(self):
@@ -161,18 +153,14 @@ class SvdAdapter:
 
     # -- forward and backward ----------------------------------------------
 
-    def forward(self, x):
-        """Apply base plus update to a batch of column vectors (d_in x batch).
+    def forward(self, x, base):
+        """Add the update's product with the batch ``x`` (d_in x batch) to
+        ``base``, the layer's W @ x.
 
-        Only directions with lam != 0 participate, so the result is
-        bit-identical under zero-impact rank changes.
+        Only directions with lam != 0 participate, and with none live
+        ``base`` itself is returned, so the result is bit-identical under
+        zero-impact rank changes.
         """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2:
-            raise ShapeError("input batch must be 2-D (d_in x batch)")
-        if x.shape[0] != self.d_in:
-            raise ShapeError(f"input rows {x.shape[0]} != d_in {self.d_in}")
-        base = self.base_w @ x
         nonzero = np.count_nonzero(self.lam)
         if nonzero == 0:
             return base
@@ -190,7 +178,8 @@ class SvdAdapter:
 
     def backward(self, x, g, gamma=0.0):
         """((dP, dlam, dQ), dx) for the batch ``x`` given dL/dy ``g``, plus
-        ``gamma`` times the orthogonality gradient in dP and dQ. Zero-lam
+        ``gamma`` times the orthogonality gradient in dP and dQ; ``dx`` is
+        the update's share of dL/dx, to which the model adds W^T g. Zero-lam
         directions take part, so a fresh direction gets a lam gradient."""
         u = self.q @ x
         c = self.scale
@@ -202,8 +191,7 @@ class SvdAdapter:
             rp, rq = self.ortho_regularizer_grad()
             dp += gamma * rp
             dq += gamma * rq
-        dx = self.base_w.T @ g + c * (self.q.T @ (self.lam[:, None] * h))
-        return (dp, dlam, dq), dx
+        return (dp, dlam, dq), c * (self.q.T @ (self.lam[:, None] * h))
 
     # -- orthogonality regularizer ----------------------------------------
 

@@ -77,8 +77,8 @@ class BudgetSchedule:
         return list(range(self.t_warmup, self.window_end, self.delta_t))
 
 
-def select_candidates(report, adapters, b, mode):
-    """Pick prune and expand id lists from an importance report.
+def select_candidates(scores, adapters, b, mode):
+    """Pick prune and expand id lists from ``scores``, {adapter id: score}.
 
     Pure function of (scores, ranks, b, mode). Rank-1 adapters are never
     pruned, at-cap adapters never expanded. Ties break by adapter id
@@ -90,10 +90,9 @@ def select_candidates(report, adapters, b, mode):
         raise ParameterError("budget must be >= 0")
     check_choice("mode", mode, ALLOCATOR_MODES)
     adapters = list(adapters)
-    scores = report.scores
     for a in adapters:
         if a.id not in scores:
-            raise ConfigError(f"adapter {a.id!r} missing from importance report")
+            raise ConfigError(f"adapter {a.id!r} missing from the scores")
 
     prune_pool = sorted(
         (a for a in adapters if a.rank > 1),

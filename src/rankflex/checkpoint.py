@@ -175,7 +175,7 @@ class _Reader:
         return m
 
 
-def _parse_adapter(reader, base_w):
+def _parse_adapter(reader, shape):
     head = reader.next()
     if not head.startswith("adapter "):
         raise ParseError(f"line {reader.last}: expected adapter block, got {head!r}")
@@ -190,7 +190,7 @@ def _parse_adapter(reader, base_w):
 
     try:
         d_out, d_in = (int(v) for v in values("dims", 2))
-        if (d_out, d_in) != base_w.shape:
+        if (d_out, d_in) != shape:
             raise ParseError(
                 f"line {reader.last}: adapter {adapter_id!r} dims {d_out}x{d_in} != layer shape"
             )
@@ -206,7 +206,7 @@ def _parse_adapter(reader, base_w):
     lam = reader.vector(rank, "lambda")
     reader.next("Q")
     q = reader.matrix(rank, d_in, "Q")
-    return SvdAdapter(adapter_id, base_w, p, lam, q, r_init=r_init, r_max=r_max, alpha=alpha)
+    return SvdAdapter(adapter_id, p, lam, q, r_init=r_init, r_max=r_max, alpha=alpha)
 
 
 def parse_checkpoint_lines(lines):
@@ -267,7 +267,7 @@ def _parse_model(reader):
         if bias_flag == "yes":
             reader.next("bias")
             bias = reader.vector(d_out, "bias")
-        adapter = _parse_adapter(reader, base) if adapter_flag == "yes" else None
+        adapter = _parse_adapter(reader, base.shape) if adapter_flag == "yes" else None
         layers.append(LinearLayer(base, bias=bias, adapter=adapter))
     if reader.pos != len(reader.lines):
         raise ParseError(f"line {reader.number(reader.pos)}: trailing content after last layer")

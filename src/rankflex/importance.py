@@ -17,7 +17,7 @@ distribution is unchanged under lambda -> c*lambda).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "METRIC_VARIANTS",
     "MetricKind",
     "SensitivityState",
-    "ImportanceReport",
     "energy_distribution",
     "spectral_entropy",
     "nuclear_mean",
@@ -90,16 +89,6 @@ class SensitivityState:
     @property
     def score(self):
         return self.smoothed * self.uncertainty
-
-
-@dataclass(frozen=True)
-class ImportanceReport:
-    """One score per adapter at a given step, plus degeneracy flags."""
-
-    step: int
-    metric: MetricKind
-    scores: dict[str, float]
-    flags: dict[str, str] = field(default_factory=dict)
 
 
 def _check_epsilon(epsilon):
@@ -236,8 +225,8 @@ SPECTRUM_METRICS = {
 }
 
 
-def score_all(adapters, metric, states=None, step=0):
-    """Score every adapter; exactly one entry per registered adapter.
+def score_all(adapters, metric, states=None):
+    """Score every adapter: ``{adapter id: score}``, one entry per adapter.
 
     ``adapters`` is any iterable of objects with ``id`` and ``lam``
     attributes. For the sensitivity metric, ``states`` must map adapter id to
@@ -248,7 +237,6 @@ def score_all(adapters, metric, states=None, step=0):
         raise ConfigError("adapters: no adapters registered")
     states = states or {}
     scores = {}
-    flags = {}
     for a in sorted(adapters, key=lambda a: a.id):
         if metric.variant == "sensitivity":
             state = states.get(a.id)
@@ -257,7 +245,4 @@ def score_all(adapters, metric, states=None, step=0):
             scores[a.id] = float(state.score)
         else:
             scores[a.id] = float(SPECTRUM_METRICS[metric.variant](a.lam, metric.epsilon))
-        flag = spectrum_flag(a.lam)
-        if flag is not None:
-            flags[a.id] = flag
-    return ImportanceReport(step=step, metric=metric, scores=scores, flags=flags)
+    return scores

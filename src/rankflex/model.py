@@ -1,12 +1,13 @@
 """Small dense networks with adapter-aware manual backprop.
 
-Models are stacks of linear layers (frozen base weight, optional trainable
-bias, optional adapter) and elementwise activations, closed by MSE or
-softmax cross-entropy. Batches are column-major: an input is d_in x batch
-and every example occupies one column.
+Models are stacks of linear layers and elementwise activations, closed by
+MSE or softmax cross-entropy. A linear layer owns its frozen weight W as a
+read-only copy, plus an optional trainable bias and an optional adapter,
+which holds only the low-rank update added to W @ x. Batches are
+column-major: an input is d_in x batch and every example occupies one column.
 
-Gradients are computed by hand in reverse order, each adapter's by
-``SvdAdapter.backward``; an adapted layer shares its adapter's read-only base.
+Gradients are computed by hand in reverse order, each adapter's factor
+gradients and its share of the input gradient by ``SvdAdapter.backward``.
 Parameters travel as name-keyed dicts, an adapter's factors under the names
 ``SvdAdapter.factors`` gives them and a bias as "layer<i>.bias".
 """
@@ -75,26 +76,16 @@ class LayerSpec:
 
 class LinearLayer:
     def __init__(self, base_w, bias=None, adapter=None):
-        # A plain layer keeps a read-only copy of ``base_w``; an adapted one
-        # only compares it with the adapter's base, so it reads it in place.
-        if adapter is None:
-            base = np.array(base_w, dtype=np.float64)
-        else:
-            base = np.asarray(base_w, dtype=np.float64)
+        base = np.array(base_w, dtype=np.float64)
         if base.ndim != 2:
             raise ShapeError("base weight must be 2-D")
-        if adapter is None:
-            base.flags.writeable = False
-        else:
-            if adapter.base_w.shape != base.shape:
-                raise ShapeError("adapter base shape differs from layer shape")
-            if not np.array_equal(adapter.base_w, base):
-                raise ParameterError(f"base weight differs from adapter {adapter.id!r}'s base")
-            base = adapter.base_w
+        base.flags.writeable = False
         self.base_w = base
         self.bias = None if bias is None else np.array(bias, dtype=np.float64).reshape(-1)
         if self.bias is not None and self.bias.size != base.shape[0]:
             raise ShapeError(f"bias length {self.bias.size} != d_out {base.shape[0]}")
+        if adapter is not None and (adapter.d_out, adapter.d_in) != base.shape:
+            raise ShapeError(f"adapter {adapter.id!r} shape differs from layer shape")
         self.adapter = adapter
 
     @property
@@ -106,7 +97,14 @@ class LinearLayer:
         return self.base_w.shape[1]
 
     def forward(self, x):
-        y = self.adapter.forward(x) if self.adapter is not None else self.base_w @ x
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2:
+            raise ShapeError("input batch must be 2-D (d_in x batch)")
+        if x.shape[0] != self.d_in:
+            raise ShapeError(f"input rows {x.shape[0]} != layer d_in {self.d_in}")
+        y = self.base_w @ x
+        if self.adapter is not None:
+            y = self.adapter.forward(x, y)
         if self.bias is not None:
             y = y + self.bias[:, None]
         return y
@@ -211,13 +209,9 @@ class ToyModel:
     def forward(self, x):
         """Run the stack; returns (output, caches) for a later backward."""
         h = np.asarray(x, dtype=np.float64)
-        if h.ndim != 2:
-            raise ShapeError("input batch must be 2-D (d_in x batch)")
         caches = []
         for layer in self.layers:
             if isinstance(layer, LinearLayer):
-                if h.shape[0] != layer.d_in:
-                    raise ShapeError(f"input rows {h.shape[0]} != layer d_in {layer.d_in}")
                 caches.append({"input": h, "rank": getattr(layer.adapter, "rank", 0)})
                 h = layer.forward(h)
             else:
@@ -263,9 +257,10 @@ class ToyModel:
                 continue
             if cache["rank"] != a.rank:
                 raise StalenessError(f"adapter {a.id!r} rank changed since forward")
-            factor_grads, g = a.backward(x, g, gamma)
+            factor_grads, dx = a.backward(x, g, gamma)
             for (name, _, _), d in zip(a.factors(), factor_grads):
                 grads[name] = d
+            g = layer.base_w.T @ g + dx
         return grads
 
 
@@ -288,7 +283,8 @@ def build_model(layer_specs, loss, rng, init_std=0.02):
             a = spec.adapter
             adapter = SvdAdapter.create(
                 a.adapter_id,
-                base,
+                spec.d_out,
+                spec.d_in,
                 r_init=a.r_init,
                 r_max=a.r_max,
                 alpha=a.alpha,

@@ -133,6 +133,19 @@ class TrainConfig:
             if a is not None and a.r_max > min(spec.d_in, spec.d_out):
                 raise ParameterError(f"layers[{i}].adapter.r_max {a.r_max} > "
                                      f"min(d_in, d_out) = {min(spec.d_in, spec.d_out)}")
+        # numpy refuses any array over intp-max bytes, so every float64 array
+        # the sizes fix must stay under it: data, targets, weights, a batch.
+        n = self.task.sample_count
+        last, out = linear[-1]
+        widest = max(max(spec.d_in, spec.d_out) for _, spec in linear)
+        arrays = [("task.input_dim x task.sample_count", self.task.input_dim, n),
+                  (f"layers[{last}].d_out x task.sample_count", out.d_out, n)]
+        arrays += [(f"layers[{i}].d_out x d_in", spec.d_out, spec.d_in) for i, spec in linear]
+        arrays.append(("the widest layer x batch_size", widest, self.batch_size))
+        for what, rows, cols in arrays:
+            if rows * cols * 8 > np.iinfo(np.intp).max:
+                raise ParameterError(f"{what}: {rows} x {cols} float64 values exceed "
+                                     "numpy's array size limit")
 
     def fingerprint(self):
         """Deterministic hash of the config (nested dataclass repr).
@@ -260,12 +273,12 @@ def run_training(config):
         if adapters and schedule.is_allocation_step(t):
             b = schedule.budget(t)
             if b > 0:
-                report = score_all(adapters, config.metric, states, step=t)
-                prune_ids, expand_ids = select_candidates(report, adapters, b, config.mode)
+                scores = score_all(adapters, config.metric, states)
+                prune_ids, expand_ids = select_candidates(scores, adapters, b, config.mode)
                 if prune_ids or expand_ids:
                     step_events = apply_allocation(
                         adapters, prune_ids, expand_ids, config.init_strategy,
-                        alloc_rng, step=t, scores=report.scores,
+                        alloc_rng, step=t, scores=scores,
                     )
                     for event in step_events:
                         optimizer.sync_rank_change(event, axes[event.adapter_id])

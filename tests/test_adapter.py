@@ -14,17 +14,24 @@ from rankflex.errors import (
     RankFullError,
     ShapeError,
 )
+from rankflex.model import LinearLayer
 
 import oracles
 
 
-def make_adapter(rng, d_out=6, d_in=5, r=3, r_max=5, alpha=16.0, lam=None):
+def make_layer(rng, d_out=6, d_in=5, r=3, r_max=5, alpha=16.0, lam=None):
+    """A linear layer over a random base, adapted by "ad" at rank ``r``."""
     base = rng.standard_normal((d_out, d_in))
     p = rng.standard_normal((d_out, r))
     q = rng.standard_normal((r, d_in))
     if lam is None:
         lam = rng.standard_normal(r)
-    return SvdAdapter("ad", base, p, lam, q, r_init=r, r_max=r_max, alpha=alpha)
+    return LinearLayer(base, adapter=SvdAdapter("ad", p, lam, q, r_init=r, r_max=r_max,
+                                                alpha=alpha))
+
+
+def make_adapter(rng, **kwargs):
+    return make_layer(rng, **kwargs).adapter
 
 
 def dense_update(a):
@@ -34,104 +41,94 @@ def dense_update(a):
 
 class TestConstruction:
     def test_bad_ids(self, rng):
-        base = np.zeros((2, 2))
         for bad in ("", "has space", "has,comma", 7, None):
             with pytest.raises(ParameterError):
-                SvdAdapter(bad, base, np.zeros((2, 1)), [0.0], np.zeros((1, 2)),
+                SvdAdapter(bad, np.zeros((2, 1)), [0.0], np.zeros((1, 2)),
                            r_init=1, r_max=2, alpha=1.0)
 
-    def test_base_must_be_2d(self):
-        with pytest.raises(ShapeError):
-            SvdAdapter("a", np.zeros(4), np.zeros((4, 1)), [0.0],
-                       np.zeros((1, 4)), r_init=1, r_max=2, alpha=1.0)
-
     def test_factor_shape_mismatch(self):
-        base = np.zeros((3, 4))
         with pytest.raises(ShapeError):
-            SvdAdapter("a", base, np.zeros((3, 2)), [0.0], np.zeros((1, 4)),
+            SvdAdapter("a", np.zeros((3, 2)), [0.0], np.zeros((1, 4)),
                        r_init=1, r_max=2, alpha=1.0)
         with pytest.raises(ShapeError):
-            SvdAdapter("a", base, np.zeros((3, 1)), [0.0], np.zeros((1, 3)),
+            SvdAdapter("a", np.zeros((3, 1)), [0.0], np.zeros((2, 4)),
+                       r_init=1, r_max=2, alpha=1.0)
+        with pytest.raises(ShapeError):
+            SvdAdapter("a", np.zeros(3), [0.0], np.zeros((1, 4)),
                        r_init=1, r_max=2, alpha=1.0)
 
     def test_rank_bounds(self):
-        base = np.zeros((3, 3))
         with pytest.raises(ParameterError):
-            SvdAdapter("a", base, np.zeros((3, 3)), [0.0] * 3, np.zeros((3, 3)),
+            SvdAdapter("a", np.zeros((3, 3)), [0.0] * 3, np.zeros((3, 3)),
                        r_init=1, r_max=2, alpha=1.0)
 
     def test_alpha_positive_finite(self):
-        base = np.zeros((2, 2))
         for alpha in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ParameterError):
-                SvdAdapter("a", base, np.zeros((2, 1)), [0.0], np.zeros((1, 2)),
+                SvdAdapter("a", np.zeros((2, 1)), [0.0], np.zeros((1, 2)),
                            r_init=1, r_max=2, alpha=alpha)
 
     def test_nonfinite_factors(self):
-        base = np.zeros((2, 2))
         with pytest.raises(ParameterError):
-            SvdAdapter("a", base, np.full((2, 1), np.nan), [0.0],
+            SvdAdapter("a", np.full((2, 1), np.nan), [0.0],
                        np.zeros((1, 2)), r_init=1, r_max=2, alpha=1.0)
-
-    def test_base_is_read_only(self, rng):
-        a = make_adapter(rng)
-        with pytest.raises(ValueError):
-            a.base_w[0, 0] = 1.0
 
     def test_create_rejects_bad_rank_pair(self, rng):
         with pytest.raises(ParameterError):
-            SvdAdapter.create("a", np.zeros((3, 3)), r_init=4, r_max=2,
-                              alpha=1.0, rng=rng)
+            SvdAdapter.create("a", 3, 3, r_init=4, r_max=2, alpha=1.0, rng=rng)
 
 
 class TestForward:
     def test_fresh_adapter_equals_base_bitwise(self, rng):
         base = rng.standard_normal((7, 4))
-        a = SvdAdapter.create("a", base, r_init=3, r_max=6, alpha=16.0, rng=rng)
-        assert a.rank == 3
+        a = SvdAdapter.create("a", 7, 4, r_init=3, r_max=6, alpha=16.0, rng=rng)
+        assert (a.d_out, a.d_in, a.rank) == (7, 4, 3)
         assert np.count_nonzero(a.lam) == 0
         x = rng.standard_normal((4, 9))
-        assert np.array_equal(a.forward(x), base @ x)
+        assert np.array_equal(LinearLayer(base, adapter=a).forward(x), base @ x)
+        # No live direction: the base product itself, so even -0.0 survives.
+        product = base @ x
+        assert a.forward(x, product) is product
 
     def test_create_deterministic(self, rng):
-        base = rng.standard_normal((5, 5))
-        a = SvdAdapter.create("a", base, r_init=2, r_max=4, alpha=8.0,
+        a = SvdAdapter.create("a", 5, 5, r_init=2, r_max=4, alpha=8.0,
                               rng=np.random.default_rng(11))
-        b = SvdAdapter.create("a", base, r_init=2, r_max=4, alpha=8.0,
+        b = SvdAdapter.create("a", 5, 5, r_init=2, r_max=4, alpha=8.0,
                               rng=np.random.default_rng(11))
         assert np.array_equal(a.p, b.p)
         assert np.array_equal(a.q, b.q)
 
     def test_matches_materialized_weight(self, rng):
         for _ in range(20):
-            a = make_adapter(rng)
-            x = rng.standard_normal((a.d_in, 4))
-            full = (a.base_w + dense_update(a)) @ x
-            assert np.max(np.abs(a.forward(x) - full)) < 1e-12
+            layer = make_layer(rng)
+            x = rng.standard_normal((layer.d_in, 4))
+            full = (layer.base_w + dense_update(layer.adapter)) @ x
+            assert np.max(np.abs(layer.forward(x) - full)) < 1e-12
 
     def test_matches_bruteforce_matmul(self, rng):
-        a = make_adapter(rng, d_out=3, d_in=4, r=2, r_max=3)
+        layer = make_layer(rng, d_out=3, d_in=4, r=2, r_max=3)
         x = rng.standard_normal((4, 2))
-        w = a.base_w + dense_update(a)
+        w = layer.base_w + dense_update(layer.adapter)
         ref = oracles.matmul_bruteforce(w, x)
-        assert np.max(np.abs(a.forward(x) - ref)) < 1e-12
+        assert np.max(np.abs(layer.forward(x) - ref)) < 1e-12
 
     def test_identity_composition(self, rng):
         d = 5
-        a = SvdAdapter("a", np.zeros((d, d)), np.eye(d), np.ones(d), np.eye(d),
+        a = SvdAdapter("a", np.eye(d), np.ones(d), np.eye(d),
                        r_init=d, r_max=d, alpha=float(d))
         assert a.scale == 1.0
         x = rng.standard_normal((d, 3))
-        assert np.array_equal(a.forward(x), x)
+        assert np.array_equal(LinearLayer(np.zeros((d, d)), adapter=a).forward(x), x)
 
     def test_zero_lam_directions_masked(self, rng):
         # Corrupt the factors of an inactive direction; the output may not move.
-        a = make_adapter(rng, lam=np.array([1.0, 0.0, -2.0]))
+        layer = make_layer(rng, lam=np.array([1.0, 0.0, -2.0]))
+        a = layer.adapter
         x = rng.standard_normal((a.d_in, 3))
-        before = a.forward(x)
+        before = layer.forward(x)
         a.p[:, 1] = 1e12
         a.q[1, :] = -1e12
-        assert np.array_equal(a.forward(x), before)
+        assert np.array_equal(layer.forward(x), before)
 
     def test_all_active_forward_rounds_as_masked_copies(self, rng):
         # With every lam nonzero the forward skips the masked copies; its
@@ -144,30 +141,30 @@ class TestForward:
             lam = rng.standard_normal(r)
             if rng.random() < 0.5:
                 p, q = np.asfortranarray(p), np.asfortranarray(q)
-            a = SvdAdapter("a", base, p, lam, q, r_init=r, r_max=r, alpha=4.0)
+            a = SvdAdapter("a", p, lam, q, r_init=r, r_max=r, alpha=4.0)
             x = rng.standard_normal((d_in, b))
             mask = np.ones(r, dtype=bool)
             u = q[mask] @ x
             u *= lam[mask, None]
             masked = base @ x + a.scale * (p[:, mask] @ u)
-            assert np.array_equal(a.forward(x).view(np.uint64), masked.view(np.uint64))
+            got = LinearLayer(base, adapter=a).forward(x)
+            assert np.array_equal(got.view(np.uint64), masked.view(np.uint64))
 
     def test_input_shape_checked(self, rng):
-        a = make_adapter(rng)
+        layer = make_layer(rng)
         with pytest.raises(ShapeError):
-            a.forward(np.zeros(a.d_in))
+            layer.forward(np.zeros(layer.d_in))
         with pytest.raises(ShapeError):
-            a.forward(np.zeros((a.d_in + 1, 2)))
+            layer.forward(np.zeros((layer.d_in + 1, 2)))
 
     def test_param_count(self, rng):
-        a = SvdAdapter.create("a", rng.standard_normal((6, 5)), r_init=3, r_max=5,
-                              alpha=16.0, rng=rng)
+        a = SvdAdapter.create("a", 6, 5, r_init=3, r_max=5, alpha=16.0, rng=rng)
         assert (a.p.shape, a.lam.shape, a.q.shape) == ((6, 3), (3,), (3, 5))
 
 
 class TestRegularizer:
     def test_hand_computed_scalar_case(self):
-        a = SvdAdapter("a", np.zeros((1, 1)), [[2.0]], [1.0], [[1.0]],
+        a = SvdAdapter("a", [[2.0]], [1.0], [[1.0]],
                        r_init=1, r_max=2, alpha=1.0)
         # P^T P - I = [[3]], Q Q^T - I = [[0]]  ->  R = 9.
         assert a.ortho_regularizer() == 9.0
@@ -179,7 +176,7 @@ class TestRegularizer:
         m = rng.standard_normal((8, 3))
         p, _ = np.linalg.qr(m)
         q = np.linalg.qr(rng.standard_normal((7, 3)))[0].T
-        a = SvdAdapter("a", np.zeros((8, 7)), p, np.ones(3), q,
+        a = SvdAdapter("a", p, np.ones(3), q,
                        r_init=3, r_max=4, alpha=1.0)
         assert a.ortho_regularizer() < 1e-25
         gp, gq = a.ortho_regularizer_grad()
@@ -236,7 +233,7 @@ def regularizer_adapters(draw):
     d_in = draw(st.integers(1, 20))
     p = draw(factor(d_out, r, False))
     q = draw(factor(d_in, r, True))
-    return SvdAdapter("a", np.zeros((d_out, d_in)), p, np.ones(r), q,
+    return SvdAdapter("a", p, np.ones(r), q,
                       r_init=r, r_max=r, alpha=1.0)
 
 
@@ -293,25 +290,26 @@ class TestPrune:
             a.prune_rank()
 
     def test_pruning_inactive_direction_is_bitwise_noop(self, rng):
-        a = make_adapter(rng, lam=np.array([1.0, 0.0, -2.0]))
-        x = rng.standard_normal((a.d_in, 6))
-        before = a.forward(x)
-        ev = a.prune_rank()
+        layer = make_layer(rng, lam=np.array([1.0, 0.0, -2.0]))
+        x = rng.standard_normal((layer.d_in, 6))
+        before = layer.forward(x)
+        ev = layer.adapter.prune_rank()
         assert ev.index == 1 and ev.detail == 0.0
-        assert np.array_equal(a.forward(x), before)
+        assert np.array_equal(layer.forward(x), before)
 
     def test_output_shift_bounded(self, rng):
         for _ in range(20):
-            a = make_adapter(rng)
+            layer = make_layer(rng)
+            a = layer.adapter
             x = rng.standard_normal((a.d_in, 5))
-            before = a.forward(x)
+            before = layer.forward(x)
             i = int(np.argmin(np.abs(a.lam)))
             bound = (a.scale * abs(a.lam[i])
                      * float(np.linalg.norm(a.p[:, i]))
                      * float(np.linalg.norm(a.q[i, :]))
                      * np.linalg.norm(x))
             a.prune_rank()
-            shift = np.linalg.norm(a.forward(x) - before)
+            shift = np.linalg.norm(layer.forward(x) - before)
             assert shift <= bound * (1 + 1e-12) + 1e-15
 
 
@@ -323,27 +321,29 @@ def assert_orthogonal_to_columns(old, new):
 
 class TestExpand:
     def test_zero_impact_is_bitwise_invariant(self, rng):
-        a = make_adapter(rng)
+        layer = make_layer(rng)
+        a = layer.adapter
         x = rng.standard_normal((a.d_in, 8))
-        before = a.forward(x)
+        before = layer.forward(x)
         ev = a.expand_rank(InitStrategy("zero_impact"), rng, step=12, score=0.4)
         assert (ev.action, ev.rank_before, ev.rank_after) == ("expand", 3, 4)
         assert ev.index == 3 and ev.detail == "zero_impact"
         assert a.lam[-1] == 0.0
-        assert np.array_equal(a.forward(x), before)
+        assert np.array_equal(layer.forward(x), before)
         # New factor vectors are live Gaussians, not zeros.
         assert np.linalg.norm(a.p[:, -1]) > 0.0
         assert np.linalg.norm(a.q[-1, :]) > 0.0
 
     def test_zero_init_appends_dead_direction(self, rng):
-        a = make_adapter(rng)
+        layer = make_layer(rng)
+        a = layer.adapter
         x = rng.standard_normal((a.d_in, 4))
-        before = a.forward(x)
+        before = layer.forward(x)
         a.expand_rank(InitStrategy("zero_init"), rng)
         assert not a.p[:, -1].any()
         assert not a.q[-1, :].any()
         assert a.lam[-1] == 0.0
-        assert np.array_equal(a.forward(x), before)
+        assert np.array_equal(layer.forward(x), before)
         # Even the regularizer gradient is gated to zero by the zero factors,
         # so nothing can ever move this direction.
         gp, gq = a.ortho_regularizer_grad()
@@ -351,9 +351,10 @@ class TestExpand:
         assert np.max(np.abs(gq[-1, :])) == 0.0
 
     def test_small_init_orthogonal_and_bounded(self, rng):
-        a = make_adapter(rng)
+        layer = make_layer(rng)
+        a = layer.adapter
         x = rng.standard_normal((a.d_in, 4))
-        before = a.forward(x)
+        before = layer.forward(x)
         old_p, old_q = a.p.copy(), a.q.copy()
         a.expand_rank(InitStrategy("small_init", small_value=1e-4), rng)
         p_new, q_new = a.p[:, -1], a.q[-1, :]
@@ -362,13 +363,14 @@ class TestExpand:
         assert abs(np.linalg.norm(q_new) - 1.0) < 1e-12
         assert_orthogonal_to_columns(old_p, p_new)
         assert_orthogonal_to_columns(old_q.T, q_new)
-        shift = np.linalg.norm(a.forward(x) - before)
+        shift = np.linalg.norm(layer.forward(x) - before)
         assert shift <= a.scale * 1e-4 * np.linalg.norm(x) * (1 + 1e-12)
 
     def test_orthogonal_init_unit_vectors_zero_lam(self, rng):
-        a = make_adapter(rng)
+        layer = make_layer(rng)
+        a = layer.adapter
         x = rng.standard_normal((a.d_in, 4))
-        before = a.forward(x)
+        before = layer.forward(x)
         old_p, old_q = a.p.copy(), a.q.copy()
         a.expand_rank(InitStrategy("orthogonal_init"), rng)
         p_new, q_new = a.p[:, -1], a.q[-1, :]
@@ -377,7 +379,7 @@ class TestExpand:
         assert abs(np.linalg.norm(q_new) - 1.0) < 1e-12
         assert_orthogonal_to_columns(old_p, p_new)
         assert_orthogonal_to_columns(old_q.T, q_new)
-        assert np.array_equal(a.forward(x), before)
+        assert np.array_equal(layer.forward(x), before)
 
     def test_max_rank_guard(self, rng):
         a = make_adapter(rng, r=5, r_max=5)
@@ -391,10 +393,9 @@ class TestExpand:
             a.expand_rank(InitStrategy("small_init"), rng)
 
     def test_expand_deterministic(self, rng):
-        base = rng.standard_normal((6, 6))
         results = []
         for _ in range(2):
-            a = SvdAdapter.create("a", base, r_init=2, r_max=5, alpha=4.0,
+            a = SvdAdapter.create("a", 6, 6, r_init=2, r_max=5, alpha=4.0,
                                   rng=np.random.default_rng(3))
             a.expand_rank(InitStrategy("zero_impact"), np.random.default_rng(9))
             results.append((a.p.copy(), a.q.copy()))
@@ -404,8 +405,7 @@ class TestExpand:
 
 class TestStructuralFuzz:
     def test_thousand_random_actions(self, rng):
-        a = SvdAdapter.create("fz", rng.standard_normal((12, 10)),
-                              r_init=4, r_max=8, alpha=16.0, rng=rng)
+        a = SvdAdapter.create("fz", 12, 10, r_init=4, r_max=8, alpha=16.0, rng=rng)
         # Give lam nonzero magnitudes so prunes exercise real selection.
         a.lam[:] = rng.standard_normal(a.rank)
         strategies = [InitStrategy(v) for v in INIT_VARIANTS]

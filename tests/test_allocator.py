@@ -26,17 +26,13 @@ def budget_oracle(s, t):
     return max(0, min(s.b0, math.floor(raw + 0.5)))
 
 
-def report_of(scores, step=0):
-    return SimpleNamespace(step=step, scores=dict(scores))
-
-
 def stub(adapter_id, rank, r_max):
     return SimpleNamespace(id=adapter_id, rank=rank, r_max=r_max)
 
 
 def live_adapter(rng, adapter_id, rank=3, r_max=6, d=8):
-    a = SvdAdapter.create(adapter_id, rng.standard_normal((d, d)),
-                          r_init=rank, r_max=r_max, alpha=8.0, rng=rng)
+    rng.standard_normal((d, d))  # a base draw, kept so the stream is unchanged
+    a = SvdAdapter.create(adapter_id, d, d, r_init=rank, r_max=r_max, alpha=8.0, rng=rng)
     a.lam[:] = rng.standard_normal(rank)
     return a
 
@@ -119,31 +115,31 @@ class TestAllocationSteps:
 class TestSelectCandidates:
     def test_basic_split(self):
         ads = [stub("a", 3, 6), stub("b", 3, 6), stub("c", 3, 6)]
-        rep = report_of({"a": 0.1, "b": 0.5, "c": 0.9})
-        prune, expand = select_candidates(rep, ads, 1, "bidirectional")
+        scores = {"a": 0.1, "b": 0.5, "c": 0.9}
+        prune, expand = select_candidates(scores, ads, 1, "bidirectional")
         assert prune == ["a"]
         assert expand == ["c"]
 
     def test_rank1_never_pruned(self):
         # 'a' has the lowest score but sits at rank 1, so 'b' is pruned.
         ads = [stub("a", 1, 6), stub("b", 3, 6), stub("c", 3, 6)]
-        rep = report_of({"a": 0.0, "b": 0.5, "c": 0.9})
-        prune, expand = select_candidates(rep, ads, 1, "bidirectional")
+        scores = {"a": 0.0, "b": 0.5, "c": 0.9}
+        prune, expand = select_candidates(scores, ads, 1, "bidirectional")
         assert prune == ["b"]
         assert expand == ["c"]
 
     def test_at_cap_never_expanded(self):
         # 'c' has the highest score but is at its cap, so 'b' expands.
         ads = [stub("a", 3, 6), stub("b", 3, 6), stub("c", 6, 6)]
-        rep = report_of({"a": 0.1, "b": 0.5, "c": 0.9})
-        prune, expand = select_candidates(rep, ads, 1, "bidirectional")
+        scores = {"a": 0.1, "b": 0.5, "c": 0.9}
+        prune, expand = select_candidates(scores, ads, 1, "bidirectional")
         assert prune == ["a"]
         assert expand == ["b"]
 
     def test_overlap_goes_to_expand(self):
         ads = [stub("a", 3, 6), stub("b", 3, 6)]
-        rep = report_of({"a": 0.1, "b": 0.9})
-        prune, expand = select_candidates(rep, ads, 2, "bidirectional")
+        scores = {"a": 0.1, "b": 0.9}
+        prune, expand = select_candidates(scores, ads, 2, "bidirectional")
         # Both pools contain both ids; the overlap hands them to expand and
         # truncation then zeroes the prune side.
         assert prune == []
@@ -151,41 +147,41 @@ class TestSelectCandidates:
 
     def test_clean_bidirectional_pair(self):
         ads = [stub(i, 3, 6) for i in ("a", "b", "c", "d")]
-        rep = report_of({"a": 0.1, "b": 0.2, "c": 0.8, "d": 0.9})
-        prune, expand = select_candidates(rep, ads, 2, "bidirectional")
+        scores = {"a": 0.1, "b": 0.2, "c": 0.8, "d": 0.9}
+        prune, expand = select_candidates(scores, ads, 2, "bidirectional")
         assert prune == ["a", "b"]
         assert expand == ["d", "c"]
 
     def test_ties_break_by_id(self):
         ads = [stub("x", 1, 6), stub("z", 3, 6), stub("y", 3, 6)]
-        rep = report_of({"x": 0.5, "y": 0.5, "z": 0.5})
-        prune, expand = select_candidates(rep, ads, 1, "bidirectional")
+        scores = {"x": 0.5, "y": 0.5, "z": 0.5}
+        prune, expand = select_candidates(scores, ads, 1, "bidirectional")
         assert prune == ["y"]
         assert expand == ["x"]
 
     def test_prune_only_mode(self):
         ads = [stub("a", 3, 6), stub("b", 3, 6)]
-        rep = report_of({"a": 0.1, "b": 0.9})
-        prune, expand = select_candidates(rep, ads, 2, "prune_only")
+        scores = {"a": 0.1, "b": 0.9}
+        prune, expand = select_candidates(scores, ads, 2, "prune_only")
         assert prune == ["a", "b"]
         assert expand == []
 
     def test_expand_only_mode(self):
         ads = [stub("a", 3, 6), stub("b", 3, 6)]
-        rep = report_of({"a": 0.1, "b": 0.9})
-        prune, expand = select_candidates(rep, ads, 2, "expand_only")
+        scores = {"a": 0.1, "b": 0.9}
+        prune, expand = select_candidates(scores, ads, 2, "expand_only")
         assert prune == []
         assert expand == ["b", "a"]
 
     def test_budget_zero(self):
         ads = [stub("a", 3, 6)]
-        rep = report_of({"a": 0.5})
-        assert select_candidates(rep, ads, 0, "bidirectional") == ([], [])
+        scores = {"a": 0.5}
+        assert select_candidates(scores, ads, 0, "bidirectional") == ([], [])
 
     def test_budget_exceeds_pools(self):
         ads = [stub("a", 1, 6), stub("b", 3, 6), stub("c", 3, 3)]
-        rep = report_of({"a": 0.3, "b": 0.6, "c": 0.9})
-        prune, expand = select_candidates(rep, ads, 10, "bidirectional")
+        scores = {"a": 0.3, "b": 0.6, "c": 0.9}
+        prune, expand = select_candidates(scores, ads, 10, "bidirectional")
         # Prune pool [b, c], expand pool [b, a]; the b overlap goes to the
         # expand side and truncation balances the rest.
         assert prune == ["c"]
@@ -193,22 +189,22 @@ class TestSelectCandidates:
 
     def test_expand_exceeding_budget_with_distinct_pools(self):
         ads = [stub("lo", 2, 2), stub("hi", 2, 6)]
-        rep = report_of({"lo": 0.1, "hi": 0.9})
-        prune, expand = select_candidates(rep, ads, 3, "bidirectional")
+        scores = {"lo": 0.1, "hi": 0.9}
+        prune, expand = select_candidates(scores, ads, 3, "bidirectional")
         assert prune == ["lo"]
         assert expand == ["hi"]
 
     def test_missing_score_rejected(self):
         with pytest.raises(ConfigError):
-            select_candidates(report_of({"a": 1.0}), [stub("b", 3, 6)], 1,
+            select_candidates({"a": 1.0}, [stub("b", 3, 6)], 1,
                               "bidirectional")
 
     def test_bad_budget_and_mode(self):
-        rep = report_of({"a": 0.5})
+        scores = {"a": 0.5}
         with pytest.raises(ParameterError):
-            select_candidates(rep, [stub("a", 3, 6)], -1, "bidirectional")
+            select_candidates(scores, [stub("a", 3, 6)], -1, "bidirectional")
         with pytest.raises(ParameterError):
-            select_candidates(rep, [stub("a", 3, 6)], 1, "sideways")
+            select_candidates(scores, [stub("a", 3, 6)], 1, "sideways")
 
     def test_modes_constant(self):
         assert ALLOCATOR_MODES == ("bidirectional", "prune_only", "expand_only")
@@ -270,12 +266,12 @@ class TestSelectApplyFuzz:
         total = sum(a.rank for a in ads)
         strat = InitStrategy("zero_impact")
         for _ in range(1000):
-            rep = report_of({a.id: float(rng.random()) for a in ads})
+            scores = {a.id: float(rng.random()) for a in ads}
             b = int(rng.integers(0, 4))
-            prune, expand = select_candidates(rep, ads, b, "bidirectional")
+            prune, expand = select_candidates(scores, ads, b, "bidirectional")
             assert len(prune) == len(expand)
             apply_allocation(ads, prune, expand, strat, rng,
-                             scores=rep.scores)
+                             scores=scores)
             assert sum(a.rank for a in ads) == total
             assert all(1 <= a.rank <= a.r_max for a in ads)
 
@@ -284,8 +280,8 @@ class TestSelectApplyFuzz:
         strat = InitStrategy("zero_impact")
         prev = sum(a.rank for a in ads)
         for _ in range(50):
-            rep = report_of({a.id: float(rng.random()) for a in ads})
-            prune, expand = select_candidates(rep, ads, 2, "prune_only")
+            scores = {a.id: float(rng.random()) for a in ads}
+            prune, expand = select_candidates(scores, ads, 2, "prune_only")
             assert expand == []
             apply_allocation(ads, prune, expand, strat, rng)
             cur = sum(a.rank for a in ads)
@@ -298,8 +294,8 @@ class TestSelectApplyFuzz:
         strat = InitStrategy("zero_impact")
         prev = sum(a.rank for a in ads)
         for _ in range(50):
-            rep = report_of({a.id: float(rng.random()) for a in ads})
-            prune, expand = select_candidates(rep, ads, 2, "expand_only")
+            scores = {a.id: float(rng.random()) for a in ads}
+            prune, expand = select_candidates(scores, ads, 2, "expand_only")
             assert prune == []
             apply_allocation(ads, prune, expand, strat, rng)
             cur = sum(a.rank for a in ads)

@@ -281,8 +281,16 @@ class TestTrain:
         ({"task.sample_count": 10**20},
          "config.task.sample_count: must fit in a signed 64-bit integer"),
         ({"seed": 10**20}, "config.seed: must fit in a signed 64-bit integer"),
+        ({"task.sample_count": 2**62},
+         "config: task.input_dim x task.sample_count: 8 x 4611686018427387904 float64 "
+         "values exceed numpy's array size limit"),
+        ({"model.layers.0.d_in": 2**62, "task.input_dim": 2**62},
+         "config: task.input_dim x task.sample_count: 4611686018427387904 x 48"),
+        ({"batch_size": 2**60},
+         "config: the widest layer x batch_size: 8 x 1152921504606846976"),
     ], ids=["chain", "teacher-ce", "blobs-mse", "blobs-one-class", "duplicate-adapter-id",
-            "bad-choice", "int64-batch_size", "int64-sample_count", "int64-seed"])
+            "bad-choice", "int64-batch_size", "int64-sample_count", "int64-seed",
+            "oversize-sample_count", "oversize-input_dim", "oversize-batch_size"])
     def test_cross_field_errors_exit_2_before_output_dir(
             self, tmp_path, monkeypatch, capsys, edit, message):
         monkeypatch.chdir(tmp_path)

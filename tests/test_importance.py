@@ -13,7 +13,6 @@ from rankflex.errors import (
     ShapeError,
 )
 from rankflex.importance import (
-    ImportanceReport,
     MetricKind,
     SensitivityState,
     elem_energy_entropy,
@@ -238,17 +237,15 @@ def test_entropy_epsilon_must_be_finite_and_positive(fn, epsilon):
 class TestScoreAll:
     def test_one_score_per_adapter(self):
         ads = adapters_from([[2.0, 1.0], [1.0, 1.0], [5.0]])
-        report = score_all(ads, MetricKind("spectral_entropy"), step=7)
-        assert set(report.scores) == {"a0", "a1", "a2"}
-        assert report.step == 7
-        assert report.scores["a0"] == pytest.approx(ENTROPY_2_1, abs=1e-12)
-        assert report.flags == {"a2": "rank1"}
+        scores = score_all(ads, MetricKind("spectral_entropy"))
+        assert set(scores) == {"a0", "a1", "a2"}
+        assert scores["a0"] == pytest.approx(ENTROPY_2_1, abs=1e-12)
+        assert [spectrum_flag(a.lam) for a in ads] == [None, None, "rank1"]
 
     def test_degenerate_flagged(self):
         ads = adapters_from([[0.0, 0.0], [1.0, 2.0]])
-        report = score_all(ads, MetricKind("spectral_entropy"))
-        assert report.flags["a0"] == "degenerate"
-        assert report.scores["a0"] == 1.0
+        assert spectrum_flag(ads[0].lam) == "degenerate"
+        assert score_all(ads, MetricKind("spectral_entropy"))["a0"] == 1.0
 
     def test_empty_is_config_error(self):
         with pytest.raises(ConfigError):
@@ -259,8 +256,8 @@ class TestScoreAll:
         with pytest.raises(ParameterError):
             score_all(ads, MetricKind("sensitivity"))
         states = {"a0": SensitivityState(smoothed=0.2, uncertainty=0.5)}
-        report = score_all(ads, MetricKind("sensitivity"), states)
-        assert report.scores["a0"] == pytest.approx(0.1, abs=1e-15)
+        assert score_all(ads, MetricKind("sensitivity"), states)["a0"] == \
+            pytest.approx(0.1, abs=1e-15)
 
     def test_dispatch_by_variant(self):
         lam = [3.0, 1.0, -2.0]
@@ -269,7 +266,7 @@ class TestScoreAll:
                             ("nuclear", nuclear_mean), ("frobenius", frobenius_mean),
                             ("elem_energy_entropy", elem_energy_entropy),
                             ("mat_energy_entropy", mat_energy_entropy)):
-            assert score_all(ads, MetricKind(variant)).scores == {"a0": fn(lam)}
+            assert score_all(ads, MetricKind(variant)) == {"a0": fn(lam)}
 
     def test_flag_helper(self):
         assert spectrum_flag([1.0]) == "rank1"
@@ -277,6 +274,4 @@ class TestScoreAll:
         assert spectrum_flag([1.0, 0.0]) is None
 
     def test_report_is_plain_data(self):
-        report = ImportanceReport(step=0, metric=MetricKind("nuclear"),
-                                  scores={"x": 1.0})
-        assert report.flags == {}
+        assert type(score_all(adapters_from([[1.0, 2.0]]), MetricKind("nuclear"))) is dict

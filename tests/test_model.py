@@ -76,7 +76,7 @@ class TestSpecsAndConstruction:
     def test_duplicate_adapter_ids(self, rng):
         def adapted(d_out, d_in):
             base = rng.standard_normal((d_out, d_in))
-            a = SvdAdapter.create("same", base, r_init=1, r_max=2, alpha=1.0,
+            a = SvdAdapter.create("same", d_out, d_in, r_init=1, r_max=2, alpha=1.0,
                                   rng=rng)
             return LinearLayer(base, adapter=a)
 
@@ -89,26 +89,27 @@ class TestSpecsAndConstruction:
 
     def test_adapter_shape_checked(self, rng):
         base = rng.standard_normal((3, 2))
-        a = SvdAdapter.create("a", rng.standard_normal((3, 3)),
-                              r_init=1, r_max=2, alpha=1.0, rng=rng)
+        for d_out, d_in in ((3, 3), (2, 2)):
+            a = SvdAdapter.create("a", d_out, d_in, r_init=1, r_max=2, alpha=1.0, rng=rng)
+            with pytest.raises(ShapeError, match="adapter 'a' shape"):
+                LinearLayer(base, adapter=a)
+
+    def test_base_must_be_2d(self):
         with pytest.raises(ShapeError):
-            LinearLayer(base, adapter=a)
+            LinearLayer(np.zeros(4))
 
-    def test_adapted_layer_shares_adapter_base(self, rng):
+    def test_base_is_read_only(self, rng):
         base = rng.standard_normal((3, 2))
-        a = SvdAdapter.create("a", base, r_init=1, r_max=2, alpha=1.0, rng=rng)
-        assert LinearLayer(base.copy(), adapter=a).base_w is a.base_w
-        model = build_model(two_layer_specs(), "mse", np.random.default_rng(8))
-        for layer in (model.layers[0], model.layers[2]):
-            assert layer.base_w is layer.adapter.base_w
-
-    def test_adapter_base_values_checked(self, rng):
-        base = rng.standard_normal((3, 2))
-        a = SvdAdapter.create("a", base, r_init=1, r_max=2, alpha=1.0, rng=rng)
-        other = base.copy()
-        other[1, 1] = np.nextafter(other[1, 1], np.inf)
-        with pytest.raises(ParameterError, match="differs from adapter 'a'"):
-            LinearLayer(other, adapter=a)
+        a = SvdAdapter.create("a", 3, 2, r_init=1, r_max=2, alpha=1.0, rng=rng)
+        for layer in (LinearLayer(base), LinearLayer(base, adapter=a)):
+            with pytest.raises(ValueError):
+                layer.base_w[0, 0] = 1.0
+        # The layer holds its own copy: the caller's array stays writable,
+        # and writing to it does not reach the layer.
+        layer = LinearLayer(base, adapter=a)
+        kept = base.copy()
+        base[1, 1] = 7.0
+        assert np.array_equal(layer.base_w, kept)
 
 
 class TestLosses:
@@ -277,7 +278,7 @@ class TestBackward:
         base = np.zeros((4, 4))
         p = np.linalg.qr(rng.standard_normal((4, 2)))[0]
         q = np.linalg.qr(rng.standard_normal((4, 2)))[0].T
-        a = SvdAdapter("a", base, p, rng.standard_normal(2), q,
+        a = SvdAdapter("a", p, rng.standard_normal(2), q,
                        r_init=2, r_max=3, alpha=2.0)
         model = ToyModel([LinearLayer(base, adapter=a)], "mse")
         x = rng.standard_normal((4, 3))
@@ -348,3 +349,92 @@ class TestBuildModel:
         model = build_model(spec, "mse", np.random.default_rng(34))
         std = float(model.layers[0].base_w.std())
         assert abs(std - 1.0 / 20.0) < 0.005
+
+
+def single_object_forward(layer, x):
+    """LinearLayer.forward as one adapter object computed it while it held
+    its own copy of the base: the base GEMM and the update in one place."""
+    a = layer.adapter
+    base = layer.base_w @ x
+    nonzero = np.count_nonzero(a.lam)
+    if nonzero == 0:
+        y = base
+    else:
+        if nonzero == a.rank:
+            p, lam, q = np.asfortranarray(a.p), a.lam, a.q
+        else:
+            active = a.lam != 0.0
+            p, lam, q = a.p[:, active], a.lam[active], a.q[active]
+        u = q @ x
+        u *= lam[:, None]
+        y = base + a.scale * (p @ u)
+    return y if layer.bias is None else y + layer.bias[:, None]
+
+
+def single_object_backward(layer, x, g, gamma):
+    """Factor gradients by name and dL/dx of one adapted layer, as one
+    adapter object computed them, base term included."""
+    a = layer.adapter
+    u = a.q @ x
+    c = a.scale
+    h = a.p.T @ g
+    dlam = c * np.einsum("rb,rb->r", h, u)
+    dp = c * (g @ (a.lam[:, None] * u).T)
+    dq = c * ((a.lam[:, None] * h) @ x.T)
+    if gamma > 0.0:
+        rp, rq = a.ortho_regularizer_grad()
+        dp += gamma * rp
+        dq += gamma * rq
+    dx = layer.base_w.T @ g + c * (a.q.T @ (a.lam[:, None] * h))
+    return {f"{a.id}.p": dp, f"{a.id}.lam": dlam, f"{a.id}.q": dq}, dx
+
+
+def assert_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want).view(np.uint64))
+
+
+class TestSplitOwnershipBitwise:
+    """The layer's base GEMM and the adapter's update, computed by their
+    separate owners, round exactly as the single-object formulas did."""
+
+    def random_layer(self, rng, adapter_id, d_out, d_in):
+        r = int(rng.integers(1, 9))
+        p, q = rng.standard_normal((d_out, r)), rng.standard_normal((r, d_in))
+        if rng.random() < 0.5:
+            p, q = np.asfortranarray(p), np.asfortranarray(q)
+        lam = rng.standard_normal(r)
+        live = rng.integers(3)  # every direction, some of them, or none
+        if live == 1 and r > 1:
+            lam[rng.permutation(r)[:rng.integers(1, r)]] = 0.0
+        elif live == 2:
+            lam[:] = 0.0
+        a = SvdAdapter(adapter_id, p, lam, q, r_init=r, r_max=r, alpha=float(rng.uniform(1, 16)))
+        bias = rng.standard_normal(d_out) if rng.random() < 0.5 else None
+        return LinearLayer(rng.standard_normal((d_out, d_in)), bias=bias, adapter=a)
+
+    def test_two_adapted_layers_over_random_shapes(self, rng):
+        for _ in range(200):
+            d0, d1, d2, batch = (int(v) for v in rng.integers(1, [48, 48, 48, 32]))
+            first = self.random_layer(rng, "first", d1, d0)
+            second = self.random_layer(rng, "second", d2, d1)
+            model = ToyModel([first, second], "mse")
+            x = rng.standard_normal((d0, batch))
+            h = single_object_forward(first, x)
+            y, caches = model.forward(x)
+            assert_bits(caches[1]["input"], h)
+            assert_bits(y, single_object_forward(second, h))
+
+            g = rng.standard_normal((d2, batch))
+            gamma = float(rng.choice([0.0, rng.uniform(0.01, 1.0)]))
+            want, dx = single_object_backward(second, h, g, gamma)
+            want.update(single_object_backward(first, x, dx, gamma)[0])
+            # The second layer's input gradient, as it reaches the first.
+            seen = []
+            backward = first.adapter.backward
+            first.adapter.backward = lambda x, g, gamma: (seen.append(g), backward(x, g, gamma))[1]
+            grads = model.backward(caches, g, gamma)
+            assert_bits(seen[0], dx)
+            for name, w in want.items():
+                assert_bits(grads[name], w)

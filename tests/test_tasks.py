@@ -201,7 +201,7 @@ class TestClosableGap:
             d = delta(teacher, model, depth)
             k = np.linalg.matrix_rank(d, tol=1e-10)
             u, s, vt = np.linalg.svd(d)
-            a = SvdAdapter(f"m{depth}", layer.base_w, u[:, :k],
+            a = SvdAdapter(f"m{depth}", u[:, :k],
                            s[:k] * (k / 16.0), vt[:k, :],
                            r_init=k, r_max=k + 1, alpha=16.0)
             layers.append(LinearLayer(layer.base_w, bias=layer.bias, adapter=a))
@@ -221,7 +221,7 @@ class TestClosableGap:
                 continue
             u, s, vt = np.linalg.svd(delta(teacher, model, depth))
             k = 2  # best rank-2 approximation of a rank-5 delta
-            a = SvdAdapter(f"m{depth}", layer.base_w, u[:, :k],
+            a = SvdAdapter(f"m{depth}", u[:, :k],
                            s[:k] * (k / 16.0), vt[:k, :],
                            r_init=k, r_max=k + 1, alpha=16.0)
             layers.append(LinearLayer(layer.base_w, bias=layer.bias, adapter=a))

@@ -224,14 +224,14 @@ class TestTrainingProgress:
         assert result.metrics[-1]["loss"] < result.metrics[0]["loss"]
 
     def test_sensitivity_metric_runs(self, monkeypatch):
-        reports = []
-        wrap(monkeypatch, "score_all", after=lambda report, *_: reports.append(report))
+        passes = []
+        wrap(monkeypatch, "score_all", after=lambda scores, *_: passes.append(scores))
         result = run_training(make_config(metric=MetricKind("sensitivity")))
         assert not result.diverged
-        assert reports, "expected scored allocation passes"
-        for rep in reports:
-            assert set(rep.scores) == {"enc", "dec"}
-            assert all(s >= 0.0 for s in rep.scores.values())
+        assert passes, "expected scored allocation passes"
+        for scores in passes:
+            assert set(scores) == {"enc", "dec"}
+            assert all(s >= 0.0 for s in scores.values())
 
 
 class TestAllocationInVivo:
