@@ -2,9 +2,11 @@
 
 The adapter keeps a weight update factored as P diag(lam) Q; the linear
 layer it adapts owns the frozen base matrix. Directions are the unit of change: pruning removes the
-weakest (P column, lam entry, Q row) triple, expansion appends one. The
-zero-impact expansion variant appends a direction with lam = 0, which the
-masked forward skips entirely, so the outputs do not move by even one bit.
+weakest (P column, lam entry, Q row) triple and returns its index and |lam|,
+expansion appends one at index ``rank``. In a training run the allocator
+records each such move as a trace event. The zero-impact expansion variant
+appends a direction with lam = 0, which the masked forward skips entirely,
+so the outputs do not move by even one bit.
 """
 
 import numpy as np
@@ -33,21 +35,23 @@ print(f"||delta||_F = {np.linalg.norm(delta):.6f}")
 print(f"orthogonality penalty R = {adapter.ortho_regularizer():.6f}")
 
 print("\n== pruning the weakest direction ==")
-event = adapter.prune_rank(step=1)
-print(f"event: {event.action} index {event.index} (|lam| was {event.detail:.3f}), "
-      f"rank {event.rank_before} -> {event.rank_after}")
+rank = adapter.rank
+index, removed = adapter.prune_rank()
+print(f"pruned index {index} (|lam| was {removed:.3f}), rank {rank} -> {adapter.rank}")
 print(f"surviving lam = {adapter.lam}")
 
 print("\n== zero-impact expansion ==")
 before = layer.forward(x)
-event = adapter.expand_rank(InitStrategy("zero_impact"), rng, step=2)
+rank = adapter.rank
+adapter.expand_rank(InitStrategy("zero_impact"), rng)
 after = layer.forward(x)
-print(f"event: {event.action} at index {event.index}, rank {event.rank_before} -> {event.rank_after}")
+print(f"expanded at index {rank}, rank {rank} -> {adapter.rank}")
 print(f"outputs bitwise identical across the expansion: {before.tobytes() == after.tobytes()}")
 
 print("\n== growing a fresh orthogonal direction instead ==")
-event = adapter.expand_rank(InitStrategy("orthogonal_init"), rng, step=3)
+rank = adapter.rank
+adapter.expand_rank(InitStrategy("orthogonal_init"), rng)
 p_new = adapter.p[:, -1]
 leaks = np.abs(adapter.p[:, :-1].T @ p_new)
-print(f"event: {event.action} ({event.detail}), rank {event.rank_before} -> {event.rank_after}")
+print(f"expanded (orthogonal_init), rank {rank} -> {adapter.rank}")
 print(f"new P column vs existing ones, worst overlap: {leaks.max():.2e}")

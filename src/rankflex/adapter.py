@@ -11,9 +11,10 @@ but neither ``forward`` (which adds the update to the layer's W @ x) nor
 ``backward`` (the factor gradients and the update's share of the input
 gradient) materializes it: inputs flow through Q, the scaled singular
 values, then P. Ranks move one direction at a time — pruning removes the
-column with the smallest |lam|, expansion appends a fresh direction under
-one of four init schemes — so a run's capacity can be reshaped mid-training
-without touching W.
+direction with the smallest |lam| and returns its index and |lam|, expansion
+appends a fresh direction under one of four init schemes — so a run's
+capacity can be reshaped mid-training without touching W. Surgery is plain
+array work; the allocator, which decided the move, records it.
 
 Directions whose lam entry is exactly zero are skipped by the forward pass.
 Besides saving work, this makes zero-impact expansion literally zero impact:
@@ -38,7 +39,6 @@ from .errors import (
     ShapeError,
     check_choice,
 )
-from .events import AllocationEvent
 from .linalg import gaussian_matrix, gram_schmidt_extend
 
 __all__ = ["INIT_VARIANTS", "InitStrategy", "SvdAdapter"]
@@ -218,36 +218,24 @@ class SvdAdapter:
 
     # -- rank surgery ------------------------------------------------------
 
-    def prune_rank(self, step=0, score=math.nan):
-        """Drop the direction with the smallest |lam| (ties: lowest index)."""
-        r = self.rank
-        if r <= 1:
+    def prune_rank(self):
+        """Drop the direction with the smallest |lam| (ties: lowest index);
+        returns (its index, its |lam|)."""
+        if self.rank <= 1:
             raise MinRankError(f"adapter {self.id!r} already at rank 1")
         i = int(np.argmin(np.abs(self.lam)))
         removed = float(abs(self.lam[i]))
-        self.p = np.delete(self.p, i, axis=1)
-        self.lam = np.delete(self.lam, i)
-        self.q = np.delete(self.q, i, axis=0)
-        return AllocationEvent(
-            step=step,
-            adapter_id=self.id,
-            action="prune",
-            rank_before=r,
-            rank_after=r - 1,
-            score=score,
-            detail=removed,
-            index=i,
-        )
+        self.p, self.lam, self.q = (np.delete(arr, i, axis=axis) for _, arr, axis in self.factors())
+        return i, removed
 
-    def expand_rank(self, strategy, rng, step=0, score=math.nan):
-        """Append one direction initialized per ``strategy``.
+    def expand_rank(self, strategy, rng):
+        """Append one direction, at index ``rank``, initialized per ``strategy``.
 
         The orthogonal schemes consume the P-side candidate from ``rng``
         before the Q-side one; RankFullError propagates when the factors
         already span their space.
         """
-        r = self.rank
-        if r >= self.r_max:
+        if self.rank >= self.r_max:
             raise MaxRankError(f"adapter {self.id!r} already at r_max={self.r_max}")
         if strategy.variant == "zero_impact":
             p_new = strategy.gauss_std * rng.standard_normal(self.d_out)
@@ -261,16 +249,6 @@ class SvdAdapter:
             p_new = gram_schmidt_extend(self.p, rng.standard_normal(self.d_out), rng)
             q_new = gram_schmidt_extend(self.q.T, rng.standard_normal(self.d_in), rng)
             lam_new = strategy.small_value if strategy.variant == "small_init" else 0.0
-        self.p = np.concatenate([self.p, p_new[:, None]], axis=1)
-        self.lam = np.append(self.lam, lam_new)
-        self.q = np.concatenate([self.q, q_new[None, :]], axis=0)
-        return AllocationEvent(
-            step=step,
-            adapter_id=self.id,
-            action="expand",
-            rank_before=r,
-            rank_after=r + 1,
-            score=score,
-            detail=strategy.variant,
-            index=r,
-        )
+        self.p, self.lam, self.q = (
+            np.concatenate([arr, np.expand_dims(new, axis)], axis=axis)
+            for (_, arr, axis), new in zip(self.factors(), (p_new, lam_new, q_new)))

@@ -5,7 +5,8 @@ active window [t_warmup, total_steps - t_final); outside the window it is
 zero. Allocation fires every ``delta_t`` steps inside the window. At each
 firing, the ``b`` lowest-scoring adapters lose a rank and the ``b``
 highest-scoring gain one; in bidirectional mode both lists are truncated to
-the same length so the total rank is conserved exactly.
+the same length so the total rank is conserved exactly. Applying a selection
+yields one ``AllocationEvent`` per rank change, the record a trace stores.
 """
 
 from __future__ import annotations
@@ -17,12 +18,46 @@ from .errors import ConfigError, ParameterError, check_choice
 
 __all__ = [
     "ALLOCATOR_MODES",
+    "AllocationEvent",
     "BudgetSchedule",
     "select_candidates",
     "apply_allocation",
 ]
 
 ALLOCATOR_MODES = ("bidirectional", "prune_only", "expand_only")
+
+
+@dataclass(frozen=True)
+class AllocationEvent:
+    """One rank change: which adapter, which direction, and why.
+
+    A prune takes the rank down by one and ``index`` is the removed
+    direction, one of the ``rank_before`` live ones; an expansion takes it up
+    by one and appends at ``index == rank_before``. ``detail`` is the removed
+    |lambda| for prunes and the init strategy name for expansions. ``score``
+    is the metric value that drove the selection (NaN when the change was
+    applied outside a scored pass).
+    """
+
+    step: int
+    adapter_id: str
+    action: str
+    rank_before: int
+    rank_after: int
+    score: float
+    detail: float | str
+    index: int
+
+    def __post_init__(self):
+        if self.action not in ("prune", "expand"):
+            raise ParameterError(f"unknown action {self.action!r}")
+        prune = self.action == "prune"
+        if self.rank_after != self.rank_before + (-1 if prune else 1):
+            raise ParameterError(f"{self.action} cannot take rank {self.rank_before} "
+                                 f"to {self.rank_after}")
+        if not (0 <= self.index < self.rank_before if prune else self.index == self.rank_before):
+            raise ParameterError(f"{self.action} index {self.index} does not fit "
+                                 f"rank {self.rank_before}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +154,8 @@ def select_candidates(scores, adapters, b, mode):
 
 
 def apply_allocation(adapters, prune_ids, expand_ids, strategy, rng, step=0, scores=None):
-    """Apply selected rank changes; prunes first, each side in id order.
+    """Apply selected rank changes and return their events; prunes first,
+    each side in id order.
 
     An adapter that slipped to rank 1 or to its cap since selection raises
     the MinRankError or MaxRankError of its own prune or expand, before that
@@ -134,9 +170,15 @@ def apply_allocation(adapters, prune_ids, expand_ids, strategy, rng, step=0, sco
             raise ConfigError(f"unknown adapter id {aid!r}")
     scores = scores or {}
     events = []
-    for aid in sorted(prune_ids):
-        events.append(by_id[aid].prune_rank(step=step, score=scores.get(aid, math.nan)))
-    for aid in sorted(expand_ids):
-        events.append(by_id[aid].expand_rank(strategy, rng, step=step,
-                                             score=scores.get(aid, math.nan)))
+    for action, ids in (("prune", prune_ids), ("expand", expand_ids)):
+        for aid in sorted(ids):
+            a = by_id[aid]
+            before = a.rank
+            if action == "prune":
+                index, detail = a.prune_rank()
+            else:
+                a.expand_rank(strategy, rng)
+                index, detail = before, strategy.variant
+            events.append(AllocationEvent(step, aid, action, before, a.rank,
+                                          scores.get(aid, math.nan), detail, index))
     return events

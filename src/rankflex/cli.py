@@ -22,11 +22,18 @@ import functools
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .allocator import BudgetSchedule
 from .checkpoint import checkpoint_lines
-from .config import apply_overrides, config_to_json, load_config_file, parse_config
+from .config import (
+    apply_overrides,
+    config_to_json,
+    dataclass_from_json,
+    load_config_file,
+    parse_config,
+)
 from .errors import (
     ConfigError,
     ParameterError,
@@ -164,13 +171,8 @@ def cmd_importance(args):
 
 
 def cmd_schedule(args):
-    schedule = BudgetSchedule(
-        b0=args.b0,
-        t_warmup=args.t_warmup,
-        t_final=args.t_final,
-        total_steps=args.total_steps,
-        delta_t=args.delta_t,
-    )
+    values = {f.name: getattr(args, f.name) for f in fields(BudgetSchedule)}
+    schedule = dataclass_from_json(BudgetSchedule, values, "schedule")
     if schedule.t_warmup + schedule.t_final >= schedule.total_steps:
         raise ParameterError("t_warmup + t_final must be < total_steps")
     rows = set(schedule.allocation_steps())

@@ -34,6 +34,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "parse_config",
     "config_to_json",
+    "dataclass_from_json",
     "load_config_file",
     "apply_overrides",
 ]
@@ -95,7 +96,7 @@ def _from_json(tp, value, path):
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: must be a boolean")
     elif dataclasses.is_dataclass(tp):
-        return _dataclass_from_json(tp, value, path)
+        return dataclass_from_json(tp, value, path)
     elif typing.get_origin(tp) is tuple:
         if not isinstance(value, list):
             raise ConfigError(f"{path}: must be an array")
@@ -107,7 +108,9 @@ def _from_json(tp, value, path):
     return value
 
 
-def _dataclass_from_json(cls, obj, path):
+def dataclass_from_json(cls, obj, path):
+    """Check the JSON object ``obj`` against the fields of ``cls`` and build
+    it; every error is a ConfigError naming ``path`` and the field."""
     _expect_dict(obj, path)
     schema = _schema(cls, cls is LayerSpec and obj.get("type") in ACTIVATION_KINDS)
     keys = {key for _, key, _, _ in schema}
@@ -148,7 +151,7 @@ def parse_config(obj):
     if "model" in raw:
         model = _expect_dict(raw.pop("model"), "config.model")
         raw.update({f"model.{key}": value for key, value in model.items()})
-    return _dataclass_from_json(TrainConfig, raw, "config")
+    return dataclass_from_json(TrainConfig, raw, "config")
 
 
 def config_to_json(config, applied_overrides=()):

@@ -3,7 +3,9 @@
 A trace is line-delimited JSON: one header record (seed, config hash,
 schedule, adapter roster), zero or more event records in application order,
 and at most one trailing abort record. Keys are sorted and separators fixed,
-so identical runs serialize to identical bytes.
+so identical runs serialize to identical bytes. This module owns every
+record's JSON form, the allocator's ``AllocationEvent`` included; a record
+read back must have the JSON types written and pass the event's own checks.
 
 ``verify_trace`` replays the bookkeeping from scratch — rank bounds, step
 legality against the schedule, per-step budget caps, mode conformance,
@@ -15,11 +17,11 @@ context.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields
 
-from .allocator import ALLOCATOR_MODES, BudgetSchedule
-from .errors import TraceError, read_text
-from .events import AllocationEvent
+from .allocator import ALLOCATOR_MODES, AllocationEvent, BudgetSchedule
+from .errors import ParameterError, TraceError, read_text
 from .importance import METRIC_VARIANTS
 
 __all__ = [
@@ -44,14 +46,41 @@ _ABORT_VALUES = {
     "loss": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
 }
 
+# (field, JSON types) of an event as ``_event_json`` writes them: ``detail``
+# is a number for a prune, a string for an expand. Exact type tests keep
+# bool (an int) out.
+_NUMBER = (float, int)
+_FIELD_TYPES = (("step", (int,)), ("adapter_id", (str,)), ("action", (str,)),
+                ("rank_before", (int,)), ("rank_after", (int,)),
+                ("score", _NUMBER + (type(None),)), ("index", (int,)))
+_PRUNE_TYPES = _FIELD_TYPES + (("detail", _NUMBER),)
+_EXPAND_TYPES = _FIELD_TYPES + (("detail", (str,)),)
+
 
 def _dump(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _event_json(e):
+    """An event's fields as a JSON object; a NaN score is written as null."""
+    return {"type": "event", **vars(e), "score": None if math.isnan(e.score) else float(e.score)}
+
+
+def _event_from_json(obj):
+    """Inverse of ``_event_json``: each field must have the JSON type that
+    it writes, or ParameterError names the field."""
+    for key, types in _EXPAND_TYPES if obj["action"] == "expand" else _PRUNE_TYPES:
+        if type(obj[key]) not in types:
+            raise ParameterError(f"{key} {obj[key]!r} has type {type(obj[key]).__name__}")
+    score = obj["score"]
+    return AllocationEvent(obj["step"], obj["adapter_id"], obj["action"], obj["rank_before"],
+                           obj["rank_after"], math.nan if score is None else float(score),
+                           obj["detail"], obj["index"])
+
+
 def trace_lines(header, events, abort=None):
     lines = [_dump(header)]
-    lines.extend(_dump(e.to_json()) for e in events)
+    lines.extend(_dump(_event_json(e)) for e in events)
     if abort is not None:
         lines.append(_dump(abort))
     return lines
@@ -81,8 +110,9 @@ def _check_values(obj, checks, record, lineno):
 def read_trace(path):
     """Parse a trace file into (header, events, abort-or-None).
 
-    Structural problems, fields of the wrong type and an unknown version,
-    mode or metric raise TraceError naming the offending line (1-based).
+    Structural problems, fields of the wrong type, an event that contradicts
+    itself and an unknown version, mode or metric raise TraceError naming
+    the offending line (1-based).
     """
     raw = read_text(path, TraceError, "trace file").splitlines()
     lines = [(i + 1, ln) for i, ln in enumerate(raw) if ln.strip()]
@@ -120,7 +150,7 @@ def read_trace(path):
             if abort is not None:
                 raise TraceError(f"line {lineno}: event after abort record")
             try:
-                events.append(AllocationEvent.from_json(obj))
+                events.append(_event_from_json(obj))
             except Exception as exc:
                 raise TraceError(f"line {lineno}: bad event ({exc})") from None
         elif kind == "abort":

@@ -252,19 +252,15 @@ class TestPrune:
     def test_removes_smallest_magnitude(self, rng):
         a = make_adapter(rng, lam=np.array([0.5, -0.1, 2.0]))
         p1, q1 = a.p[:, 1].copy(), a.q[1, :].copy()
-        ev = a.prune_rank(step=30, score=0.7)
-        assert (ev.action, ev.rank_before, ev.rank_after) == ("prune", 3, 2)
-        assert ev.index == 1
-        assert ev.detail == pytest.approx(0.1)
-        assert ev.step == 30 and ev.score == 0.7
+        # The index and |lam| of the removed direction come back.
+        assert a.prune_rank() == (1, 0.1)
         assert a.rank == 2
         assert not any(np.array_equal(a.p[:, j], p1) for j in range(2))
         assert not any(np.array_equal(a.q[j, :], q1) for j in range(2))
 
     def test_tie_breaks_to_lowest_index(self, rng):
         a = make_adapter(rng, lam=np.array([0.5, -0.5, 1.0]))
-        ev = a.prune_rank()
-        assert ev.index == 0
+        assert a.prune_rank() == (0, 0.5)
         assert np.array_equal(a.lam, [-0.5, 1.0])
 
     def test_matches_npdelete(self, rng):
@@ -280,9 +276,9 @@ class TestPrune:
         before = a.factors()
         assert [name for name, _, _ in before] == ["ad.p", "ad.lam", "ad.q"]
         assert all(arr is live for (_, arr, _), live in zip(before, (a.p, a.lam, a.q)))
-        ev = a.prune_rank()
+        index, _ = a.prune_rank()
         for (_, old, axis), (_, new, _) in zip(before, a.factors()):
-            assert np.array_equal(new, np.delete(old, ev.index, axis=axis))
+            assert np.array_equal(new, np.delete(old, index, axis=axis))
 
     def test_min_rank_guard(self, rng):
         a = make_adapter(rng, r=1, lam=np.array([1.0]))
@@ -293,8 +289,7 @@ class TestPrune:
         layer = make_layer(rng, lam=np.array([1.0, 0.0, -2.0]))
         x = rng.standard_normal((layer.d_in, 6))
         before = layer.forward(x)
-        ev = layer.adapter.prune_rank()
-        assert ev.index == 1 and ev.detail == 0.0
+        assert layer.adapter.prune_rank() == (1, 0.0)
         assert np.array_equal(layer.forward(x), before)
 
     def test_output_shift_bounded(self, rng):
@@ -325,10 +320,11 @@ class TestExpand:
         a = layer.adapter
         x = rng.standard_normal((a.d_in, 8))
         before = layer.forward(x)
-        ev = a.expand_rank(InitStrategy("zero_impact"), rng, step=12, score=0.4)
-        assert (ev.action, ev.rank_before, ev.rank_after) == ("expand", 3, 4)
-        assert ev.index == 3 and ev.detail == "zero_impact"
-        assert a.lam[-1] == 0.0
+        old_p, old_q = a.p.copy(), a.q.copy()
+        assert a.expand_rank(InitStrategy("zero_impact"), rng) is None
+        assert a.rank == 4 and a.lam[-1] == 0.0
+        # The new direction sits at index 3, after the old ones.
+        assert np.array_equal(a.p[:, :3], old_p) and np.array_equal(a.q[:3], old_q)
         assert np.array_equal(layer.forward(x), before)
         # New factor vectors are live Gaussians, not zeros.
         assert np.linalg.norm(a.p[:, -1]) > 0.0
@@ -418,12 +414,16 @@ class TestStructuralFuzz:
             before = a.rank
             if want_expand:
                 strat = strategies[int(rng.integers(0, len(strategies)))]
-                ev = a.expand_rank(strat, rng)
-                assert ev.rank_after == before + 1
+                assert a.expand_rank(strat, rng) is None
+                assert a.rank == before + 1
             else:
-                ev = a.prune_rank()
-                assert ev.rank_after == before - 1
+                weakest = int(np.argmin(np.abs(a.lam)))
+                removed = float(abs(a.lam[weakest]))
+                assert a.prune_rank() == (weakest, removed)
+                assert a.rank == before - 1
             assert 1 <= a.rank <= a.r_max
+            # SvdAdapter.forward's all-live path relies on C-ordered factors.
+            assert a.p.flags.c_contiguous and a.q.flags.c_contiguous
             assert a.p.shape == (12, a.rank)
             assert a.q.shape == (a.rank, 10)
             assert a.lam.shape == (a.rank,)

@@ -3,8 +3,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rankflex.adapter import InitStrategy, SvdAdapter
+from rankflex.adapter import INIT_VARIANTS, InitStrategy, SvdAdapter
 from rankflex.allocator import (
     ALLOCATOR_MODES,
     BudgetSchedule,
@@ -257,6 +259,53 @@ class TestApplyAllocation:
         a = live_adapter(rng, "a")
         assert apply_allocation([a], [], [], InitStrategy("zero_impact"), rng) == []
         assert a.rank == 3
+
+
+@st.composite
+def allocation_cases(draw):
+    """Adapters of random rank and cap, with lam drawn from few values so
+    ties occur, a legal prune and expand selection, some scores, a strategy
+    and a step."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adapters = []
+    for i in range(draw(st.integers(1, 4))):
+        r_max = draw(st.integers(1, 5))
+        rank = draw(st.integers(1, r_max))
+        a = SvdAdapter.create(f"a{i}", 6, 5, r_init=rank, r_max=r_max, alpha=4.0, rng=rng)
+        a.lam[:] = draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 2.0]),
+                                 min_size=rank, max_size=rank))
+        adapters.append(a)
+    prune = [a.id for a in adapters if a.rank > 1 and draw(st.booleans())]
+    expand = [a.id for a in adapters
+              if a.rank < a.r_max and a.id not in prune and draw(st.booleans())]
+    scores = {a.id: draw(st.floats(-1.0, 1.0)) for a in adapters if draw(st.booleans())}
+    strategy = InitStrategy(draw(st.sampled_from(INIT_VARIANTS)))
+    return adapters, prune, expand, scores, strategy, draw(st.integers(0, 10**6)), rng
+
+
+class TestApplyAllocationEvents:
+    @settings(max_examples=200, deadline=None)
+    @given(case=allocation_cases())
+    def test_events_state_what_each_adapter_did(self, case):
+        adapters, prune, expand, scores, strategy, step, rng = case
+        before = {a.id: (a.rank, a.lam.copy()) for a in adapters}
+        events = apply_allocation(adapters, prune, expand, strategy, rng,
+                                  step=step, scores=scores)
+        assert [(e.action, e.adapter_id) for e in events] == (
+            [("prune", i) for i in sorted(prune)] + [("expand", i) for i in sorted(expand)])
+        after = {a.id: a.rank for a in adapters}
+        for e in events:
+            rank, lam = before[e.adapter_id]
+            assert (e.step, e.rank_before, e.rank_after) == (step, rank, after[e.adapter_id])
+            if e.action == "prune":
+                weakest = int(np.argmin(np.abs(lam)))
+                assert (e.index, e.detail) == (weakest, abs(lam[weakest]))
+            else:
+                assert (e.index, e.detail) == (rank, strategy.variant)
+            if e.adapter_id in scores:
+                assert e.score == scores[e.adapter_id]
+            else:
+                assert math.isnan(e.score)
 
 
 class TestSelectApplyFuzz:

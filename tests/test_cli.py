@@ -15,7 +15,7 @@ from rankflex.allocator import BudgetSchedule
 from rankflex.checkpoint import load_checkpoint
 from rankflex.cli import OUTPUT_DIR_ENV, main
 from rankflex.config import config_to_json, parse_config
-from rankflex.events import AllocationEvent
+from rankflex.allocator import AllocationEvent
 from rankflex.importance import (
     elem_energy_entropy,
     frobenius_mean,
@@ -420,6 +420,17 @@ class TestSchedule:
         assert main(["schedule", "0", "10", "10", "100", "5"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("value", [2**63, 10**20, -2**63 - 1])
+    @pytest.mark.parametrize("field", ["b0", "t_warmup", "t_final", "total_steps", "delta_t"])
+    def test_arguments_beyond_64_bits_exit_2(self, capsys, field, value):
+        # The same signed 64-bit rule as the config's schedule fields.
+        args = dict(b0=2, t_warmup=10, t_final=10, total_steps=100, delta_t=5)
+        args[field] = value
+        assert main(["schedule", *map(str, args.values())]) == 2
+        out, err = capsys.readouterr()
+        assert f"schedule.{field}: must fit in a signed 64-bit integer" in err
+        assert out == ""
+
 
 @pytest.fixture
 def trained_dir(tmp_path, monkeypatch, capsys):
@@ -523,6 +534,32 @@ class TestReplayVerify:
         trace.write_text("\n".join(lines) + "\n")
         assert main(["replay-verify", str(trace)]) == 1
         assert "header adapters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, index", [(1, 99), (1, 3), (2, 0), (2, 4)],
+                             ids=["prune-99", "prune-at-rank", "expand-0", "expand-past-rank"])
+    def test_event_index_contradicting_its_rank_fails(self, tmp_path, capsys, line, index):
+        # A prune removes one of its rank_before directions; an expand
+        # appends at index rank_before.
+        records = typed_trace_records()
+        records[line]["index"] = index
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join(map(json.dumps, records)) + "\n")
+        assert main(["replay-verify", str(trace)]) == 1
+        assert f"line {line + 1}: bad event" in capsys.readouterr().err
+
+    def test_swapped_actions_fail(self, tmp_path, capsys):
+        # The step-10 pair in the other order, each line with the other's
+        # action and detail: a "prune" that takes dec from 3 to 4, then an
+        # "expand" that takes enc from 3 to 2.
+        records = typed_trace_records()
+        prune, expand = records[1:3]
+        for key in ("action", "detail"):
+            prune[key], expand[key] = expand[key], prune[key]
+        records[1:3] = [expand, prune]
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join(map(json.dumps, records)) + "\n")
+        assert main(["replay-verify", str(trace)]) == 1
+        assert "line 2: bad event" in capsys.readouterr().err
 
     def test_abort_before_an_event_fails(self, trained_dir, capsys):
         trace = trained_dir / "trace.jsonl"
@@ -713,6 +750,17 @@ class TestStructuredFuzz:
             cfg.write_text(with_edge_value(raw, path, edge))
             overrides = []
         assert main(["train", str(cfg), *overrides]) in (0, 1, 2, 3)
+        capsys.readouterr()
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(args=st.lists(st.sampled_from([-1, 0, 1, 7, 2**62, 2**63 - 1, 2**63, 10**20]),
+                         min_size=5, max_size=5))
+    def test_schedule_arguments(self, capsys, args):
+        # Each step range here holds at most 7 rows or at least 2**59, which
+        # fails at once with MemoryError (exit 1); no value in between
+        # would allocate a real list.
+        assert main(["schedule", *map(str, args)]) in (0, 1, 2, 3)
         capsys.readouterr()
 
     @settings(max_examples=300, deadline=None,

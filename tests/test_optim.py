@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from rankflex.allocator import AllocationEvent
 from rankflex.errors import ParameterError, ShapeError
-from rankflex.events import AllocationEvent
 from rankflex.optim import AdamW
 
 
@@ -146,12 +146,12 @@ def axes(adapter_id="a"):
     return {f"{adapter_id}.p": 1, f"{adapter_id}.lam": 0, f"{adapter_id}.q": 0}
 
 
-def rank_event(action, index, adapter_id="a"):
-    """An event of adapter ``adapter_id`` at rank 3; only ``action`` and
-    ``index`` reach the optimizer."""
+def rank_event(action, index, adapter_id="a", rank=3):
+    """An event of adapter ``adapter_id`` at rank ``rank``; only ``action``
+    and ``index`` reach the optimizer."""
     prune = action == "prune"
     return AllocationEvent(step=1, adapter_id=adapter_id, action=action,
-                           rank_before=3, rank_after=2 if prune else 4, score=0.5,
+                           rank_before=rank, rank_after=rank - 1 if prune else rank + 1, score=0.5,
                            detail=0.0 if prune else "zero_impact", index=index)
 
 
@@ -231,7 +231,7 @@ class TestSurgery:
         opt.step({"a.p": p}, {"a.p": rng.standard_normal((4, 3))})
         kept = opt.state["a.p"]["m"][:, [0, 2]].copy()
         opt.sync_rank_change(rank_event("prune", 1), axes())
-        opt.sync_rank_change(rank_event("expand", 2), axes())
+        opt.sync_rank_change(rank_event("expand", 2, rank=2), axes())
         m = opt.state["a.p"]["m"]
         assert m.shape == (4, 3)
         assert np.array_equal(m[:, :2], kept)

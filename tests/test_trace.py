@@ -3,8 +3,8 @@ import math
 
 import pytest
 
+from rankflex.allocator import AllocationEvent
 from rankflex.errors import ParameterError, TraceError
-from rankflex.events import AllocationEvent
 from rankflex.trace import (
     heatmap_csv_lines,
     read_trace,
@@ -45,12 +45,22 @@ def make_header(mode="bidirectional", adapters=None, schedule=None):
     }
 
 
-def ev(step, aid, action, before, score=0.5, index=0):
-    after = before + 1 if action == "expand" else before - 1
-    detail = "zero_impact" if action == "expand" else 0.01
+def ev(step, aid, action, before, score=0.5, index=None):
+    """A self-consistent event; an expand appends at index ``before``, a
+    prune removes index 0 unless told otherwise."""
+    expand = action == "expand"
+    after = before + 1 if expand else before - 1
+    detail = "zero_impact" if expand else 0.01
+    if index is None:
+        index = before if expand else 0
     return AllocationEvent(step=step, adapter_id=aid, action=action,
                            rank_before=before, rank_after=after,
                            score=score, detail=detail, index=index)
+
+
+def event_json(e):
+    """The JSON object a trace writes for the event ``e``."""
+    return json.loads(trace_lines(make_header(), [e])[1])
 
 
 def good_events():
@@ -64,15 +74,18 @@ def good_events():
 
 
 class TestEventRecord:
-    def test_round_trip(self):
-        e = ev(10, "enc", "prune", 3)
-        assert AllocationEvent.from_json(e.to_json()) == e
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        events = [ev(10, "enc", "prune", 3, index=2), ev(10, "dec", "expand", 3)]
+        write(path, make_header(), events)
+        assert read_trace(path)[1] == events
 
-    def test_nan_score_becomes_null(self):
+    def test_nan_score_becomes_null(self, tmp_path):
         e = ev(10, "enc", "expand", 3, score=math.nan)
-        obj = e.to_json()
-        assert obj["score"] is None
-        back = AllocationEvent.from_json(obj)
+        assert event_json(e)["score"] is None
+        path = tmp_path / "trace.jsonl"
+        write(path, make_header(), [e])
+        (back,) = read_trace(path)[1]
         assert math.isnan(back.score)
 
     def test_rank_step_must_be_one(self):
@@ -86,6 +99,19 @@ class TestEventRecord:
             AllocationEvent(step=0, adapter_id="a", action="merge",
                             rank_before=3, rank_after=4, score=0.0,
                             detail=0.0, index=0)
+
+    @pytest.mark.parametrize("action, before, after, index", [
+        ("prune", 3, 4, 0), ("expand", 3, 2, 3),
+        ("prune", 3, 2, 3), ("prune", 3, 2, -1),
+        ("expand", 3, 4, 0), ("expand", 3, 4, 4),
+    ], ids=["prune-up", "expand-down", "prune-index-at-rank", "prune-index-negative",
+            "expand-index-inside", "expand-index-past-rank"])
+    def test_event_must_agree_with_itself(self, action, before, after, index):
+        # A prune takes the rank down by one and removes a live direction; an
+        # expand takes it up by one and appends at the old rank.
+        detail = 0.01 if action == "prune" else "zero_impact"
+        with pytest.raises(ParameterError):
+            AllocationEvent(10, "enc", action, before, after, 0.5, detail, index)
 
 
 class TestRoundTrip:
@@ -145,7 +171,7 @@ class TestReadErrors:
             read_trace(path)
 
     def test_event_before_header(self, tmp_path):
-        line = json.dumps(good_events()[0].to_json())
+        line = json.dumps(event_json(good_events()[0]))
         path = self.write_lines(tmp_path, [line])
         with pytest.raises(TraceError, match="line 1: event before header"):
             read_trace(path)
@@ -159,7 +185,7 @@ class TestReadErrors:
     def test_event_after_abort(self, tmp_path):
         lines = trace_lines(make_header(), good_events()[:1],
                             {"type": "abort", "step": 5, "reason": "x"})
-        lines.append(json.dumps(good_events()[1].to_json()))
+        lines.append(json.dumps(event_json(good_events()[1])))
         path = self.write_lines(tmp_path, lines)
         with pytest.raises(TraceError, match="line 4: event after abort"):
             read_trace(path)
@@ -215,7 +241,7 @@ class TestReadErrors:
 
     def test_bad_event_payload(self, tmp_path):
         lines = trace_lines(make_header(), [])
-        bad = good_events()[0].to_json()
+        bad = event_json(good_events()[0])
         bad["rank_after"] = 9
         lines.append(json.dumps(bad))
         path = self.write_lines(tmp_path, lines)
