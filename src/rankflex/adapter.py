@@ -16,6 +16,13 @@ appends a fresh direction under one of four init schemes — so a run's
 capacity can be reshaped mid-training without touching W. Surgery is plain
 array work; the allocator, which decided the move, records it.
 
+When every lam entry is live, ``forward`` forms Q @ x on the operands
+``backward`` would use and leaves the unscaled product in the layer's
+forward cache, and ``backward`` reuses it instead of a second GEMM. With
+some lam zero, ``forward`` multiplies only the live rows of Q, caches
+nothing, and ``backward`` forms the full Q @ x itself. ``backward`` forms
+its share of the input gradient only when asked for it.
+
 Directions whose lam entry is exactly zero are skipped by the forward pass.
 Besides saving work, this makes zero-impact expansion literally zero impact:
 the surviving operands are bit-identical before and after the append, so the
@@ -153,18 +160,21 @@ class SvdAdapter:
 
     # -- forward and backward ----------------------------------------------
 
-    def forward(self, x, base):
+    def forward(self, x, base, cache=None):
         """Add the update's product with the batch ``x`` (d_in x batch) to
-        ``base``, the layer's W @ x.
+        ``base``, the layer's W @ x, in place.
 
         Only directions with lam != 0 participate, and with none live
         ``base`` itself is returned, so the result is bit-identical under
-        zero-impact rank changes.
+        zero-impact rank changes. When every direction is live, the
+        unscaled Q @ x is the product ``backward`` needs, and it is left in
+        ``cache`` under "qx".
         """
         nonzero = np.count_nonzero(self.lam)
         if nonzero == 0:
             return base
-        if nonzero == self.rank:
+        live = nonzero == self.rank
+        if live:
             # The operands as the masked copies below would lay them out:
             # q[mask] is C-ordered like q (kept so by __init__), p[:, mask]
             # comes out Fortran-ordered. GEMM bits depend on that order.
@@ -172,26 +182,33 @@ class SvdAdapter:
         else:
             active = self.lam != 0.0
             p, lam, q = self.p[:, active], self.lam[active], self.q[active]
-        u = q @ x
-        u *= lam[:, None]
-        return base + self.scale * (p @ u)
+        qx = q @ x
+        if live and cache is not None:
+            cache["qx"] = qx
+        pu = p @ (qx * lam[:, None])
+        pu *= self.scale
+        pu += base
+        return pu
 
-    def backward(self, x, g, gamma=0.0):
+    def backward(self, x, g, gamma=0.0, qx=None, need_dx=True):
         """((dP, dlam, dQ), dx) for the batch ``x`` given dL/dy ``g``, plus
         ``gamma`` times the orthogonality gradient in dP and dQ; ``dx`` is
-        the update's share of dL/dx, to which the model adds W^T g. Zero-lam
-        directions take part, so a fresh direction gets a lam gradient."""
-        u = self.q @ x
+        the update's share of dL/dx, to which the model adds W^T g, or None
+        when ``need_dx`` is false. ``qx`` is forward's cached Q @ x, formed
+        here when None. Zero-lam directions take part, so a fresh direction
+        gets a lam gradient."""
+        u = self.q @ x if qx is None else qx
         c = self.scale
         h = self.p.T @ g
+        lam_h = self.lam[:, None] * h
         dlam = c * np.einsum("rb,rb->r", h, u)
         dp = c * (g @ (self.lam[:, None] * u).T)
-        dq = c * ((self.lam[:, None] * h) @ x.T)
+        dq = c * (lam_h @ x.T)
         if gamma > 0.0:
             rp, rq = self.ortho_regularizer_grad()
             dp += gamma * rp
             dq += gamma * rq
-        return (dp, dlam, dq), c * (self.q.T @ (self.lam[:, None] * h))
+        return (dp, dlam, dq), (c * (self.q.T @ lam_h) if need_dx else None)
 
     # -- orthogonality regularizer ----------------------------------------
 

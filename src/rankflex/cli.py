@@ -175,7 +175,11 @@ def cmd_schedule(args):
     schedule = dataclass_from_json(BudgetSchedule, values, "schedule")
     if schedule.t_warmup + schedule.t_final >= schedule.total_steps:
         raise ParameterError("t_warmup + t_final must be < total_steps")
-    rows = set(schedule.allocation_steps())
+    try:
+        rows = set(schedule.allocation_steps())
+    except MemoryError:
+        count = len(range(schedule.t_warmup, schedule.window_end, schedule.delta_t))
+        raise MemoryError(f"cannot tabulate {count} allocation steps") from None
     rows.update({schedule.t_warmup, schedule.window_end})
     if schedule.t_warmup > 0:
         rows.add(schedule.t_warmup - 1)
@@ -268,7 +272,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -8,6 +8,11 @@ column-major: an input is d_in x batch and every example occupies one column.
 
 Gradients are computed by hand in reverse order, each adapter's factor
 gradients and its share of the input gradient by ``SvdAdapter.backward``.
+The pass ends with the first linear layer's parameter gradients: nothing
+reads that layer's input gradient, so neither its W^T g nor its adapter's
+share is formed. A linear layer's forward cache holds its input, its
+adapter's rank and whatever product the adapter leaves for its backward,
+never the layer's output.
 Parameters travel as name-keyed dicts, an adapter's factors under the names
 ``SvdAdapter.factors`` gives them and a bias as "layer<i>.bias".
 """
@@ -96,7 +101,9 @@ class LinearLayer:
     def d_in(self):
         return self.base_w.shape[1]
 
-    def forward(self, x):
+    def forward(self, x, cache=None):
+        """W @ x plus the adapter's update and the bias; the adapter may
+        leave a product for its backward in ``cache``."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ShapeError("input batch must be 2-D (d_in x batch)")
@@ -104,9 +111,9 @@ class LinearLayer:
             raise ShapeError(f"input rows {x.shape[0]} != layer d_in {self.d_in}")
         y = self.base_w @ x
         if self.adapter is not None:
-            y = self.adapter.forward(x, y)
+            y = self.adapter.forward(x, y, cache)
         if self.bias is not None:
-            y = y + self.bias[:, None]
+            y += self.bias[:, None]
         return y
 
 
@@ -212,8 +219,9 @@ class ToyModel:
         caches = []
         for layer in self.layers:
             if isinstance(layer, LinearLayer):
-                caches.append({"input": h, "rank": getattr(layer.adapter, "rank", 0)})
-                h = layer.forward(h)
+                cache = {"input": h, "rank": getattr(layer.adapter, "rank", 0)}
+                caches.append(cache)
+                h = layer.forward(h, cache)
             else:
                 out = layer.forward(h)
                 caches.append({"input": h, "output": out})
@@ -229,7 +237,9 @@ class ToyModel:
         """Gradients of loss (+ gamma * orthogonality penalty) by name.
 
         ``caches`` must come from a forward pass against the current model
-        structure; a rank change in between raises StalenessError.
+        and its current parameter values; a rank change in between raises
+        StalenessError. Nothing reads the input gradient of the first
+        linear layer, so the pass ends with that layer's parameters.
         """
         if len(caches) != len(self.layers):
             raise StalenessError("cache layer count differs from model")
@@ -237,12 +247,17 @@ class ToyModel:
             raise ParameterError("gamma must be >= 0")
         g = np.asarray(grad_out, dtype=np.float64)
         grads = {}
+        first = next(i for i, l in enumerate(self.layers) if isinstance(l, LinearLayer))
         for i in reversed(range(len(self.layers))):
             layer = self.layers[i]
             cache = caches[i]
             if isinstance(layer, ActivationLayer):
                 if layer.kind == "tanh":
-                    g = (1.0 - cache["output"] ** 2) * g
+                    # (1 - out^2) * g, in one buffer.
+                    g_in = np.square(cache["output"])
+                    np.subtract(1.0, g_in, out=g_in)
+                    g_in *= g
+                    g = g_in
                 else:
                     g = (cache["input"] > 0.0) * g
                 continue
@@ -252,15 +267,19 @@ class ToyModel:
             if layer.bias is not None:
                 grads[f"layer{i}.bias"] = g.sum(axis=1)
             a = layer.adapter
-            if a is None:
-                g = layer.base_w.T @ g
-                continue
-            if cache["rank"] != a.rank:
-                raise StalenessError(f"adapter {a.id!r} rank changed since forward")
-            factor_grads, dx = a.backward(x, g, gamma)
-            for (name, _, _), d in zip(a.factors(), factor_grads):
-                grads[name] = d
-            g = layer.base_w.T @ g + dx
+            if a is not None:
+                if cache["rank"] != a.rank:
+                    raise StalenessError(f"adapter {a.id!r} rank changed since forward")
+                factor_grads, dx = a.backward(x, g, gamma, qx=cache.get("qx"),
+                                              need_dx=i > first)
+                for (name, _, _), d in zip(a.factors(), factor_grads):
+                    grads[name] = d
+            if i == first:
+                break
+            g_in = layer.base_w.T @ g
+            if a is not None:
+                g_in += dx
+            g = g_in
         return grads
 
 

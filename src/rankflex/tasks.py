@@ -93,8 +93,10 @@ class TeacherNet:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Column-major inputs plus targets (matrix for regression, labels for
-    classification)."""
+    """Inputs (d_in x n) plus targets (d_out x n for regression, n labels for
+    classification), one example per column. The samplers return row-major
+    arrays; ``run_training`` keeps column-major copies, so that a batch
+    gathers whole columns."""
 
     inputs: np.ndarray
     targets: np.ndarray

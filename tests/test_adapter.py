@@ -162,6 +162,51 @@ class TestForward:
         assert (a.p.shape, a.lam.shape, a.q.shape) == ((6, 3), (3,), (3, 5))
 
 
+def bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+class TestBackward:
+    def random_case(self, rng):
+        """A layer at a random shape with every, some or no lam live, a
+        batch in either memory order, an upstream gradient and a gamma."""
+        d_out, d_in, r, b = (int(v) for v in rng.integers(1, [64, 64, 16, 48]))
+        lam = rng.standard_normal(r)
+        live = rng.integers(3)
+        if live == 1 and r > 1:
+            lam[rng.permutation(r)[:rng.integers(1, r)]] = 0.0
+        elif live == 2:
+            lam[:] = 0.0
+        layer = make_layer(rng, d_out=d_out, d_in=d_in, r=r, r_max=r,
+                           alpha=float(rng.uniform(1, 16)), lam=lam)
+        x = rng.standard_normal((d_in, b))
+        if rng.random() < 0.5:
+            x = np.asfortranarray(x)
+        g = rng.standard_normal((d_out, b))
+        return layer, x, g, float(rng.choice([0.0, rng.uniform(0.01, 1.0)]))
+
+    def test_factor_grads_do_not_depend_on_input_gradient(self, rng):
+        for _ in range(200):
+            layer, x, g, gamma = self.random_case(rng)
+            grads, dx = layer.adapter.backward(x, g, gamma)
+            bare, none = layer.adapter.backward(x, g, gamma, need_dx=False)
+            assert none is None and dx.shape == x.shape
+            for got, want in zip(bare, grads):
+                assert np.array_equal(bits(got), bits(want))
+
+    def test_reused_forward_product_equals_fresh_backward(self, rng):
+        for _ in range(300):
+            layer, x, g, gamma = self.random_case(rng)
+            a = layer.adapter
+            cache = {}
+            layer.forward(x, cache)
+            assert ("qx" in cache) == (np.count_nonzero(a.lam) == a.rank)
+            fresh, fresh_dx = a.backward(x, g, gamma)
+            reused, reused_dx = a.backward(x, g, gamma, cache.get("qx"))
+            for got, want in zip((*reused, reused_dx), (*fresh, fresh_dx)):
+                assert np.array_equal(bits(got), bits(want))
+
+
 class TestRegularizer:
     def test_hand_computed_scalar_case(self):
         a = SvdAdapter("a", [[2.0]], [1.0], [[1.0]],

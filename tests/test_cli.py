@@ -196,6 +196,20 @@ class TestTrain:
         assert verify_trace(header, events, abort) == []
         assert main(["replay-verify", str(outdir / "trace.jsonl")]) == 0
 
+    def test_divergence_prints_only_its_line(self, tmp_path):
+        # The desk run overflows at step 1; numpy's warnings stay silent in
+        # a fresh process, whose stderr holds only the diverged line.
+        from test_golden import DESK
+
+        cfg = write_config(tmp_path, DESK)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "rankflex.cli", "train", cfg, "optimizer.lr=1e300",
+             f"output_dir={tmp_path / 'out'}"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 3
+        assert done.stderr == "diverged: loss nan at step 1\n"
+
     def test_locked_output_dir_exits_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path)
@@ -430,6 +444,13 @@ class TestSchedule:
         out, err = capsys.readouterr()
         assert f"schedule.{field}: must fit in a signed 64-bit integer" in err
         assert out == ""
+
+    def test_untabulable_step_count_is_named(self, capsys):
+        assert main(["schedule", "1", "0", "0", "4611686018427387904", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: out of memory: "
+                       "cannot tabulate 4611686018427387904 allocation steps\n")
 
 
 @pytest.fixture

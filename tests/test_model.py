@@ -165,9 +165,18 @@ class TestForward:
         assert len(caches) == 1 and caches[0]["rank"] == 0
 
     def test_caches_hold_only_inputs_and_ranks(self, rng):
+        # Never a layer's output; an adapter whose every lam is live also
+        # leaves the unscaled Q @ x its backward reuses.
         model = build_model(two_layer_specs(), "mse", np.random.default_rng(4))
-        _, caches = model.forward(rng.standard_normal((5, 3)))
+        x = rng.standard_normal((5, 3))
+        _, caches = model.forward(x)
         assert [sorted(c) for c in caches[::2]] == [["input", "rank"]] * 2
+        enc, dec = model.adapters()
+        enc.lam[:] = [0.5, -0.25]
+        dec.lam[:] = [0.5, 0.0]
+        _, caches = model.forward(x)
+        assert [sorted(c) for c in caches[::2]] == [["input", "qx", "rank"], ["input", "rank"]]
+        assert_bits(caches[0]["qx"], enc.q @ x)
 
     def test_fresh_adapters_match_plain_stack_bitwise(self, rng):
         model = build_model(two_layer_specs(adapted=True), "mse", np.random.default_rng(5))
@@ -320,6 +329,54 @@ class TestBackward:
         with pytest.raises(ParameterError):
             model.backward(caches, np.zeros_like(y), gamma=-0.1)
 
+    @pytest.mark.parametrize("first_adapted", [True, False], ids=["adapted", "bare"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.2])
+    def test_first_layer_input_gradient_is_not_formed(self, rng, first_adapted, gamma):
+        # Every GEMM on the first layer's W and Q is logged with its operand
+        # shapes; W^T g and the adapter's Q^T term would show a transposed
+        # first operand.
+        log = []
+        specs = [LayerSpec("linear", d_in=5, d_out=7,
+                           adapter=AdapterSpec("enc", 2, 3) if first_adapted else None),
+                 LayerSpec("tanh"),
+                 LayerSpec("linear", d_in=7, d_out=3, adapter=AdapterSpec("dec", 2, 3))]
+        model = build_model(specs, "mse", np.random.default_rng(29))
+        first = model.layers[0]
+        first.base_w = MatmulLog.of(first.base_w, log)
+        for a in model.adapters():
+            a.lam[:] = rng.standard_normal(a.rank)
+        if first_adapted:
+            first.adapter.q = MatmulLog.of(first.adapter.q, log)
+        x = rng.standard_normal((5, 4))
+        y, caches = model.forward(x)
+        forward_calls = [((7, 5), (5, 4))] + [((2, 5), (5, 4))] * first_adapted
+        assert log == forward_calls
+        model.backward(caches, rng.standard_normal(y.shape), gamma)
+        assert all(shapes[0] not in ((5, 7), (5, 2)) for shapes in log)
+        if gamma == 0.0:
+            # All lam live: backward reuses forward's Q @ x.
+            assert log == forward_calls
+
+
+class MatmulLog(np.ndarray):
+    """An array view that appends the operand shapes of each matmul it
+    takes part in to ``log``; its transpose logs to the same list."""
+
+    @classmethod
+    def of(cls, arr, log):
+        view = arr.view(cls)
+        view.log = log
+        return view
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.log.append(tuple(np.shape(v) for v in inputs))
+        plain = [v.view(np.ndarray) if isinstance(v, MatmulLog) else v for v in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
 
 class TestBuildModel:
     def test_deterministic(self):
@@ -433,8 +490,50 @@ class TestSplitOwnershipBitwise:
             # The second layer's input gradient, as it reaches the first.
             seen = []
             backward = first.adapter.backward
-            first.adapter.backward = lambda x, g, gamma: (seen.append(g), backward(x, g, gamma))[1]
+            first.adapter.backward = lambda x, g, gamma, *rest, **kwargs: (
+                seen.append(g), backward(x, g, gamma, *rest, **kwargs))[1]
             grads = model.backward(caches, g, gamma)
             assert_bits(seen[0], dx)
+            for name, w in want.items():
+                assert_bits(grads[name], w)
+
+    @pytest.mark.parametrize("first_adapted", [True, False], ids=["adapted", "bare"])
+    @pytest.mark.parametrize("act", [None, "tanh", "relu"])
+    def test_activation_between_and_bare_first_layer(self, rng, act, first_adapted):
+        for _ in range(100):
+            d0, d1, d2, batch = (int(v) for v in rng.integers(1, [48, 48, 48, 32]))
+            if first_adapted:
+                first = self.random_layer(rng, "first", d1, d0)
+            else:
+                bias = rng.standard_normal(d1) if rng.random() < 0.5 else None
+                first = LinearLayer(rng.standard_normal((d1, d0)), bias=bias)
+            second = self.random_layer(rng, "second", d2, d1)
+            mid = [ActivationLayer(act)] if act else []
+            model = ToyModel([first, *mid, second], "mse")
+            x = rng.standard_normal((d0, batch))
+            if first_adapted:
+                pre = single_object_forward(first, x)
+            else:
+                pre = first.base_w @ x
+                pre = pre if first.bias is None else pre + first.bias[:, None]
+            h = {None: pre, "tanh": np.tanh(pre), "relu": np.maximum(pre, 0.0)}[act]
+            y, caches = model.forward(x)
+            assert_bits(caches[-1]["input"], h)
+            assert_bits(y, single_object_forward(second, h))
+
+            g = rng.standard_normal((d2, batch))
+            gamma = float(rng.choice([0.0, rng.uniform(0.01, 1.0)]))
+            want, dx = single_object_backward(second, h, g, gamma)
+            if act == "tanh":
+                dx = (1.0 - h ** 2) * dx
+            elif act == "relu":
+                dx = (pre > 0.0) * dx
+            if first_adapted:
+                want.update(single_object_backward(first, x, dx, gamma)[0])
+            for i, layer in ((0, first), (len(mid) + 1, second)):
+                if layer.bias is not None:
+                    want[f"layer{i}.bias"] = (g if layer is second else dx).sum(axis=1)
+            grads = model.backward(caches, g, gamma)
+            assert sorted(grads) == sorted(want)
             for name, w in want.items():
                 assert_bits(grads[name], w)

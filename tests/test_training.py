@@ -9,6 +9,7 @@ from rankflex.allocator import BudgetSchedule
 from rankflex.checkpoint import checkpoint_lines
 from rankflex.errors import ParameterError
 from rankflex.importance import MetricKind
+from rankflex.linalg import split_rng
 from rankflex.model import AdapterSpec, LayerSpec, ToyModel
 from rankflex.tasks import SyntheticTask
 from rankflex.trace import trace_lines, verify_trace
@@ -310,6 +311,62 @@ class TestDivergence:
         assert result.metrics and all(row["step"] < abort["step"] for row in result.metrics)
         assert all(e.step < abort["step"] for e in result.events)
         assert verify_trace(result.header, result.events, abort) == []
+
+
+class TestBatchLayout:
+    """``run_training`` keeps its training set column-major. Each batch it
+    hands on must still be the gather from the row-major set the tasks
+    sample, in values and in strides, so every GEMM rounds as before."""
+
+    SHAPES = {
+        "desk": dict(
+            layers=(LayerSpec("linear", d_in=16, d_out=16, adapter=AdapterSpec("hi", 7, 14)),
+                    LayerSpec("tanh"),
+                    LayerSpec("linear", d_in=16, d_out=16, adapter=AdapterSpec("lo", 7, 14))),
+            task=SyntheticTask(kind="low_rank_teacher", input_dim=16, sample_count=48,
+                               noise_std=0.1, teacher_ranks=(12, 2)),
+            batch_size=16),
+        "wide": dict(
+            layers=(LayerSpec("linear", d_in=512, d_out=512, adapter=AdapterSpec("w0", 24, 96)),
+                    LayerSpec("tanh"),
+                    LayerSpec("linear", d_in=512, d_out=512, adapter=AdapterSpec("w1", 24, 96))),
+            task=SyntheticTask(kind="low_rank_teacher", input_dim=512, sample_count=2048,
+                               noise_std=0.01, teacher_ranks=(64, 4)),
+            batch_size=128),
+        "blobs": dict(
+            layers=(LayerSpec("linear", d_in=10, d_out=8, adapter=AdapterSpec("enc", 3, 6)),
+                    LayerSpec("tanh"),
+                    LayerSpec("linear", d_in=8, d_out=2, adapter=AdapterSpec("dec", 1, 2))),
+            task=SyntheticTask(kind="two_blobs", input_dim=10, sample_count=96),
+            loss="softmax_ce", batch_size=16),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_batch_is_the_row_major_gather(self, monkeypatch, shape):
+        config = make_config(schedule=BudgetSchedule(b0=1, t_warmup=2, t_final=2,
+                                                     total_steps=6, delta_t=1),
+                             **self.SHAPES[shape])
+        sampled, batches = [], []
+        for name in ("sample_regression", "sample_blobs"):
+            wrap(monkeypatch, name, after=lambda dataset, *_: sampled.append(dataset))
+        forward, loss_and_grad = ToyModel.forward, ToyModel.loss_and_grad
+        monkeypatch.setattr(ToyModel, "forward",
+                            lambda model, x: (batches.append([x]), forward(model, x))[1])
+        monkeypatch.setattr(ToyModel, "loss_and_grad",
+                            lambda model, y, t: (batches[-1].append(t), loss_and_grad(model, y, t))[1])
+        run_training(config)
+
+        (dataset,) = sampled
+        assert dataset.inputs.flags.c_contiguous
+        batch_rng = split_rng(config.seed, 4)[2]
+        assert len(batches) == config.schedule.total_steps
+        for x, t in batches:
+            cols = batch_rng.integers(0, config.task.sample_count, size=config.batch_size)
+            want_x = dataset.inputs[:, cols]
+            want_t = dataset.targets[:, cols] if dataset.targets.ndim == 2 else dataset.targets[cols]
+            for got, want in ((x, want_x), (t, want_t)):
+                assert got.dtype == want.dtype and got.strides == want.strides
+                assert np.array_equal(got, want)
 
 
 class TestMetricsCsv:
