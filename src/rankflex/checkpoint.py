@@ -8,17 +8,19 @@ of a 2-D matrix (base, P, Q) is one line of base64 over the row's
 little-endian float64 bytes, and the vectors bias and lambda are CSV lines
 with every float written by ``repr``. Version 1, which wrote the matrices as
 ``repr`` CSV too, still loads. Either way loading reproduces the saved model
-bit for bit, so forward passes match exactly.
+bit for bit, so forward passes match exactly. The CLI streams the lines into
+its file and loading pulls them a chunk at a time, never the whole text.
 """
 
 from __future__ import annotations
 
 import binascii
+from itertools import islice
 
 import numpy as np
 
 from .adapter import SvdAdapter
-from .errors import ParseError, read_text
+from .errors import ParseError, reading
 from .linalg import matrix_from_csv_lines, matrix_to_csv_lines
 from .model import ACTIVATION_KINDS, LOSS_KINDS, ActivationLayer, LinearLayer, ToyModel
 
@@ -33,6 +35,7 @@ FORMAT_NAME = "rankflex-checkpoint"
 FORMAT_VERSION = 2
 READABLE_VERSIONS = ("1", "2")
 _ROW_DTYPE = np.dtype("<f8")
+_CHUNK_LINES = 256  # lines a reader pulls at a time
 
 
 def _matrix_lines(m):
@@ -87,52 +90,59 @@ def checkpoint_lines(model):
 
 
 class _Reader:
-    """Walks the non-blank lines; error messages carry source line numbers."""
+    """Walks the non-blank lines of an iterable of lines, pulled from it a
+    chunk at a time; error messages carry source line numbers."""
 
     def __init__(self, lines):
-        kept = [(n, ln.rstrip("\n")) for n, ln in enumerate(lines, 1) if ln.strip()]
-        self.numbers = [n for n, _ in kept]
-        self.lines = [ln for _, ln in kept]
-        self.pos = 0
+        self.source = enumerate(lines, 1)
+        self.held, self.pos = [], 0  # (line number, line) pairs; the next one's index
+        self.last = 0  # number of the last line read
         self.version = FORMAT_VERSION
 
-    def number(self, pos):
-        """Source line number of kept line ``pos``; one past the end beyond it."""
-        if pos < len(self.numbers):
-            return self.numbers[pos]
-        return (self.numbers[-1] if self.numbers else 0) + 1
+    def hold(self, count):
+        """Whether ``count`` more lines remain; pulls chunks until they are held."""
+        while len(self.held) - self.pos < count:
+            chunk = list(islice(self.source, _CHUNK_LINES))
+            if not chunk:
+                return False
+            kept = [(n, s) for n, ln in chunk if (s := ln.rstrip("\n")).strip()]
+            if kept:
+                self.held, self.pos = self.held[self.pos:] + kept, 0
+        return True
 
-    @property
-    def last(self):
-        """Source line number of the last line read."""
-        return self.number(self.pos - 1)
+    def number(self):
+        """Source line number of the next line; one past the last beyond it."""
+        if self.hold(1):
+            return self.held[self.pos][0]
+        return (self.held[-1][0] if self.held else 0) + 1
 
     def next(self, expect=None):
-        if self.pos >= len(self.lines):
-            raise ParseError(f"line {self.number(self.pos)}: unexpected end of checkpoint")
-        line = self.lines[self.pos]
+        if self.pos == len(self.held) and not self.hold(1):
+            raise ParseError(f"line {self.number()}: unexpected end of checkpoint")
+        self.last, line = self.held[self.pos]
         self.pos += 1
         if expect is not None and line != expect:
             raise ParseError(f"line {self.last}: expected {expect!r}, got {line!r}")
         return line
 
     def _take(self, rows, cols, what):
+        """The next ``rows`` (line number, line) pairs."""
         if rows < 1 or cols < 1:
             raise ParseError(f"line {self.last}: {what} shape ({rows}, {cols}) is not positive")
-        if self.pos + rows > len(self.lines):
-            raise ParseError(f"line {self.number(self.pos)}: {what} truncated")
-        self.pos += rows
-        return self.lines[self.pos - rows : self.pos]
+        if not self.hold(rows):
+            raise ParseError(f"line {self.number()}: {what} truncated")
+        start, self.pos = self.pos, self.pos + rows
+        self.last = self.held[self.pos - 1][0]
+        return self.held[start:self.pos]
 
     def _csv(self, rows, cols, what):
-        start = self.number(self.pos)
         block = self._take(rows, cols, what)
         try:
-            m = matrix_from_csv_lines(block)
+            m = matrix_from_csv_lines([line for _, line in block])
         except ParseError as exc:
-            raise ParseError(f"line {start}: {exc}") from None
+            raise ParseError(f"line {block[0][0]}: {exc}") from None
         if m.shape != (rows, cols):
-            raise ParseError(f"line {start}: {what} shape {m.shape} != ({rows}, {cols})")
+            raise ParseError(f"line {block[0][0]}: {what} shape {m.shape} != ({rows}, {cols})")
         return m
 
     def vector(self, size, what):
@@ -143,35 +153,29 @@ class _Reader:
         """The next ``rows`` lines as a rows-by-cols matrix, in the file's version."""
         if self.version == 1:
             return self._csv(rows, cols, what)
-        start = self.pos
+        block = self._take(rows, cols, what)
         width = 4 * -(-8 * cols // 3)  # characters in the base64 of one row
         buf = bytearray()
-        for i, line in enumerate(self._take(rows, cols, what)):
+        for n, line in block:
             try:
                 data = binascii.a2b_base64(line)
             except ValueError as exc:  # binascii.Error, or a non-ASCII str
-                raise ParseError(
-                    f"line {self.number(start + i)}: {what} row is not base64 ({exc})"
-                ) from None
+                raise ParseError(f"line {n}: {what} row is not base64 ({exc})") from None
             if len(data) != 8 * cols:
-                raise ParseError(
-                    f"line {self.number(start + i)}: {what} shape ({rows}, {cols}): "
-                    f"row decodes to {len(data)} bytes, not {8 * cols}"
-                )
+                raise ParseError(f"line {n}: {what} shape ({rows}, {cols}): "
+                                 f"row decodes to {len(data)} bytes, not {8 * cols}")
             # a2b_base64 skips characters outside the alphabet and stops at
             # complete padding, so a row of 8*cols bytes is exactly `width`
             # characters long only if it holds nothing else.
             if len(line) != width:
-                raise ParseError(
-                    f"line {self.number(start + i)}: {what} row is not base64 "
-                    f"({len(line)} characters, not {width})"
-                )
+                raise ParseError(f"line {n}: {what} row is not base64 "
+                                 f"({len(line)} characters, not {width})")
             buf += data
         m = np.frombuffer(buf, dtype=_ROW_DTYPE).reshape(rows, cols).astype(np.float64, copy=False)
         finite = np.isfinite(m).all(axis=1)
         if not finite.all():
             row = int(np.argmin(finite))
-            raise ParseError(f"line {self.number(start + row)}: {what} row has non-finite values")
+            raise ParseError(f"line {block[row][0]}: {what} row has non-finite values")
         return m
 
 
@@ -210,13 +214,14 @@ def _parse_adapter(reader, shape):
 
 
 def parse_checkpoint_lines(lines):
-    """Rebuild a ToyModel from a version 1 or 2 checkpoint; any malformed
-    content raises ParseError naming its line (for a model type's own check,
-    the last line read)."""
+    """Rebuild a ToyModel from a version 1 or 2 checkpoint, given as any
+    iterable of lines (an open text file too); any malformed content raises
+    ParseError naming its line (for a model type's own check, the last line
+    read)."""
     reader = _Reader(lines)
     try:
         return _parse_model(reader)
-    except ParseError:
+    except (ParseError, UnicodeDecodeError):  # a file's bad bytes are its reader's to map
         raise
     except ValueError as exc:  # int()/dict() on bad text, or a model type's own check
         raise ParseError(f"line {reader.last}: {exc}") from None
@@ -269,10 +274,11 @@ def _parse_model(reader):
             bias = reader.vector(d_out, "bias")
         adapter = _parse_adapter(reader, base.shape) if adapter_flag == "yes" else None
         layers.append(LinearLayer(base, bias=bias, adapter=adapter))
-    if reader.pos != len(reader.lines):
-        raise ParseError(f"line {reader.number(reader.pos)}: trailing content after last layer")
+    if reader.hold(1):
+        raise ParseError(f"line {reader.number()}: trailing content after last layer")
     return ToyModel(layers, loss)
 
 
 def load_checkpoint(path):
-    return parse_checkpoint_lines(read_text(path, ParseError, "checkpoint file").splitlines())
+    with reading(path, ParseError, "checkpoint file"), open(path, encoding="utf-8") as fh:
+        return parse_checkpoint_lines(fh)

@@ -10,9 +10,9 @@ verification, out of memory), 2 configuration or usage error (an unwritable
 output path included), 3 training divergence (the partial trace with its
 abort record is still written).
 
-Artifacts are written atomically (temp file + rename in the target
-directory) and a ``.lock`` file taken with O_EXCL guards each output
-directory against concurrent runs.
+Artifacts are streamed a few lines at a time into a temp file renamed over
+the target (so written atomically) and a ``.lock`` file taken with O_EXCL
+guards each output directory against concurrent runs.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import functools
 import json
 import os
 import sys
+from contextlib import suppress
 from dataclasses import fields
 from pathlib import Path
 
@@ -52,21 +53,25 @@ __all__ = ["main"]
 OUTPUT_DIR_ENV = "RANKFLEX_OUTPUT_DIR"
 
 
-def _atomic_write(path, text):
-    """Replace ``path`` by a new regular file; an existing target of another
-    kind (a named pipe, a device, a directory) is refused, not replaced, and
-    a failed write leaves no temporary file behind."""
+def _atomic_write(path, lines):
+    """Replace ``path`` by a new regular file of the list ``lines``, streamed a
+    few at a time into a temporary file, each ended by a newline. An existing
+    target of another kind (a named pipe, a device, a directory) is refused,
+    not replaced, and a failed write leaves no temporary file behind."""
     path = Path(path)
     if path.exists() and not path.is_file():
         raise ParameterError(f"{path}: exists and is not a regular file")
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for i in range(0, len(lines), 64):
+                fh.write("\n".join(lines[i:i + 64]) + "\n")
         os.replace(tmp, path)
     except OSError as exc:
+        raise ParameterError(f"{path}: cannot write it: {exc.strerror}") from None
+    finally:
         if tmp.is_file():
             tmp.unlink()
-        raise ParameterError(f"{path}: cannot write it: {exc.strerror}") from None
 
 
 class _OutputLock:
@@ -106,15 +111,15 @@ class _OutputLock:
 
 
 def _write_artifacts(outdir, config, result, overrides):
-    trace_text = "\n".join(trace_lines(result.header, result.events, result.abort)) + "\n"
-    metrics_text = "\n".join(metrics_csv_lines(result.header, result.metrics)) + "\n"
-    checkpoint_text = "\n".join(checkpoint_lines(result.model)) + "\n"
     effective = config_to_json(config, applied_overrides=overrides)
-    config_text = json.dumps(effective, indent=2, sort_keys=True) + "\n"
-    _atomic_write(outdir / "trace.jsonl", trace_text)
-    _atomic_write(outdir / "metrics.csv", metrics_text)
-    _atomic_write(outdir / "checkpoint.txt", checkpoint_text)
-    _atomic_write(outdir / "effective_config.json", config_text)
+    artifacts = {
+        "trace.jsonl": trace_lines(result.header, result.events, result.abort),
+        "metrics.csv": metrics_csv_lines(result.header, result.metrics),
+        "checkpoint.txt": checkpoint_lines(result.model),
+        "effective_config.json": [json.dumps(effective, indent=2, sort_keys=True)],
+    }
+    for name, lines in artifacts.items():
+        _atomic_write(outdir / name, lines)
 
 
 def cmd_train(args):
@@ -191,12 +196,15 @@ def cmd_schedule(args):
 
 
 def cmd_export_heatmap(args):
+    with suppress(OSError):  # by any path or link; a missing file is no match
+        if args.out is not None and os.path.samefile(args.out, args.trace):
+            raise ParameterError(f"--out {args.out} is the trace being read")
     header, events, _ = read_trace(args.trace)
-    text = "\n".join(heatmap_csv_lines(header, events)) + "\n"
+    lines = heatmap_csv_lines(header, events)
     if args.out is None:
-        sys.stdout.write(text)
+        print(*lines, sep="\n")
     else:
-        _atomic_write(args.out, text)
+        _atomic_write(args.out, lines)
         print(f"heatmap written to {args.out}")
     return 0
 

@@ -1,6 +1,8 @@
 """Exception types shared across the package, the check of a choice field,
 and the reader that maps a user-named file's I/O failures onto them."""
 
+from contextlib import contextmanager
+
 
 class RankflexError(Exception):
     """Base class for all library-specific errors."""
@@ -57,16 +59,19 @@ def check_choice(name, value, choices):
         raise ParameterError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
 
 
-def read_text(path, error, what):
-    """Contents of the UTF-8 file ``path`` that a user named.
-
-    A missing file, a directory, any other OSError and bytes that are not
-    UTF-8 all raise ``error`` with a message naming ``what`` and the path.
-    """
+@contextmanager
+def reading(path, error, what):
+    """Raise ``error``, naming ``what`` and the path, for a user-named file that
+    is missing, a directory, unreadable, or not UTF-8 anywhere in it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        yield
     except FileNotFoundError:
         raise error(f"{what} not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from None
+
+
+def read_text(path, error, what):
+    """Contents of the UTF-8 file ``path``, its failures mapped by ``reading``."""
+    with reading(path, error, what), open(path, "r", encoding="utf-8") as fh:
+        return fh.read()

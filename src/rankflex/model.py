@@ -12,7 +12,8 @@ The pass ends with the first linear layer's parameter gradients: nothing
 reads that layer's input gradient, so neither its W^T g nor its adapter's
 share is formed. A linear layer's forward cache holds its input, its
 adapter's rank and whatever product the adapter leaves for its backward,
-never the layer's output.
+never the layer's output; an activation's holds only its output, so each
+pre-activation array is freed once its activation has run.
 Parameters travel as name-keyed dicts, an adapter's factors under the names
 ``SvdAdapter.factors`` gives them and a bias as "layer<i>.bias".
 """
@@ -214,7 +215,8 @@ class ToyModel:
         return int(sum(p.size for p in self.trainable_params().values()))
 
     def forward(self, x):
-        """Run the stack; returns (output, caches) for a later backward."""
+        """Run the stack; returns (output, caches), which hold for a later
+        backward each linear layer's input but each activation's output."""
         h = np.asarray(x, dtype=np.float64)
         caches = []
         for layer in self.layers:
@@ -223,9 +225,8 @@ class ToyModel:
                 caches.append(cache)
                 h = layer.forward(h, cache)
             else:
-                out = layer.forward(h)
-                caches.append({"input": h, "output": out})
-                h = out
+                h = layer.forward(h)
+                caches.append({"output": h})
         return h, caches
 
     def loss_and_grad(self, y, targets):
@@ -259,7 +260,8 @@ class ToyModel:
                     g_in *= g
                     g = g_in
                 else:
-                    g = (cache["input"] > 0.0) * g
+                    # max(x, 0) > 0 exactly where x > 0, for -0.0 and NaN too.
+                    g = (cache["output"] > 0.0) * g
                 continue
             x = cache["input"]
             if g.shape != (layer.d_out, x.shape[1]):

@@ -1,6 +1,7 @@
 import binascii
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankflex import checkpoint
 from rankflex.adapter import InitStrategy
 from rankflex.checkpoint import (
     adapter_record_lines,
@@ -15,6 +17,7 @@ from rankflex.checkpoint import (
     load_checkpoint,
     parse_checkpoint_lines,
 )
+from rankflex.cli import _atomic_write
 from rankflex.errors import ParseError
 from rankflex.model import AdapterSpec, LayerSpec, ToyModel, build_model
 
@@ -411,3 +414,101 @@ class TestFuzz:
             assert LINE_ERROR.fullmatch(str(exc)), str(exc)
         else:
             assert isinstance(model, ToyModel)
+
+
+def stack_model(width, layers=4, seed=80):
+    """``layers`` adapted width-by-width linear layers with tanh between."""
+    specs = []
+    for i in range(layers):
+        if i:
+            specs.append(LayerSpec("tanh"))
+        specs.append(LayerSpec("linear", d_in=width, d_out=width,
+                               adapter=AdapterSpec(f"s{i}", 8, 16)))
+    model = build_model(specs, "mse", np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    for a in model.adapters():
+        a.lam[:] = rng.standard_normal(a.rank)
+    return model
+
+
+class TestStreaming:
+    """The reader pulls its lines a chunk at a time; no message and no
+    result depends on where the chunks end."""
+
+    def test_model_spans_many_chunks(self, rng):
+        lines = checkpoint_lines(stack_model(64))
+        assert len(lines) > 2 * checkpoint._CHUNK_LINES
+        assert_models_identical(stack_model(64), parse_checkpoint_lines(iter(lines)), rng)
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=mutated_checkpoint(), blanks=st.lists(st.integers(0, 80), max_size=6),
+           chunk=st.sampled_from([1, 2, 3, 7]))
+    def test_chunk_size_changes_no_message(self, lines, blanks, chunk):
+        for at in blanks:
+            lines.insert(min(at, len(lines)), " " if at % 2 else "")
+
+        def outcome():
+            try:
+                return checkpoint_lines(parse_checkpoint_lines(lines))
+            except ParseError as exc:
+                return str(exc)
+
+        whole = outcome()
+        saved = checkpoint._CHUNK_LINES
+        checkpoint._CHUNK_LINES = chunk
+        try:
+            assert outcome() == whole
+        finally:
+            checkpoint._CHUNK_LINES = saved
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines, at: lines.__setitem__(at, lines[at][:-4]), "not base64|bytes"),
+        (lambda lines, at: lines.__delitem__(slice(at, None)), "Q truncated"),
+        (lambda lines, at: lines.append("extra"), "trailing content"),
+    ], ids=["bad-row", "truncated", "trailing"])
+    def test_deep_errors_name_their_line(self, edit, message):
+        lines = checkpoint_lines(stack_model(64))
+        at = len(lines) - 5  # a row of the last Q, with two blank lines before it
+        lines[at - 2:at - 2] = ["", "  "]
+        at += 2
+        edit(lines, at)
+        # The bad row; the first row of the cut block; the extra line.
+        want = {"not base64|bytes": at + 1, "Q truncated": len(lines) - lines[::-1].index("Q") + 1,
+                "trailing content": len(lines)}[message]
+        assert want > 2 * checkpoint._CHUNK_LINES
+        with pytest.raises(ParseError, match=rf"^line {want}: .*({message})"):
+            parse_checkpoint_lines(lines)
+
+    def test_bad_byte_past_the_first_chunk(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save(stack_model(64), path)
+        data = bytearray(path.read_bytes())
+        at = data.rindex(b"\nQ\n") + 5
+        assert data[:at].count(b"\n") > 2 * checkpoint._CHUNK_LINES
+        data[at] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(ParseError, match=f"^cannot read checkpoint file {re.escape(str(path))}: "
+                                             "'utf-8' codec can't decode byte 0xff"):
+            load_checkpoint(path)
+
+    def test_write_and_load_hold_the_text_at_most_once(self, tmp_path, rng):
+        # Four 256x256 layers make a checkpoint of a few MB. Writing it may
+        # hold its lines once, and loading it the model and a few blocks of
+        # lines, but neither may hold a second whole copy of the text.
+        model = stack_model(256)
+        path = tmp_path / "model.txt"
+        tracemalloc.start()
+        try:
+            _atomic_write(path, checkpoint_lines(model))
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            loaded = load_checkpoint(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 2_500_000
+        assert write_peak < 1.5 * size, (write_peak, size)
+        assert load_peak < 1.5 * size, (load_peak, size)
+        assert_models_identical(model, loaded, rng)

@@ -1,4 +1,5 @@
 import copy
+import errno
 import json
 import os
 import stat
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rankflex import cli
 from rankflex.allocator import BudgetSchedule
 from rankflex.checkpoint import load_checkpoint
 from rankflex.cli import OUTPUT_DIR_ENV, main
@@ -209,6 +211,44 @@ class TestTrain:
             env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 3
         assert done.stderr == "diverged: loss nan at step 1\n"
+
+    def test_write_failing_mid_stream_keeps_the_old_artifact(self, tmp_path, monkeypatch,
+                                                             capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        assert main(["train", cfg]) == 0
+        outdir = tmp_path / "runs" / "cliunit"
+        before = (outdir / "checkpoint.txt").read_bytes()
+        opened = []
+
+        class FullDisk:
+            """Takes half of the first write, then fails as a full disk does."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                opened.append(os.path.getsize(self.fh.name))
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def open_full(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            return FullDisk(fh) if Path(path).name.startswith("checkpoint.txt.") else fh
+
+        monkeypatch.setattr(cli, "open", open_full, raising=False)
+        assert main(["train", cfg, "--seed", "4"]) == 2
+        assert "checkpoint.txt: cannot write it: No space left on device" in capsys.readouterr().err
+        assert opened and opened[0] > 0  # the temporary file held part of the new text
+        assert (outdir / "checkpoint.txt").read_bytes() == before
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(ARTIFACTS)
 
     def test_locked_output_dir_exits_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -509,6 +549,21 @@ class TestExportHeatmap:
         assert main(["export-heatmap", trace, "--out", str(tmp_path / "heat.csv")]) == 2
         assert "cannot write it: Permission denied" in capsys.readouterr().err
         assert not [p for p in tmp_path.iterdir() if p.name.startswith("heat.csv")]
+
+    @pytest.mark.parametrize("spelling", ["same", "relative", "dotted", "symlink"])
+    def test_out_naming_the_trace_is_refused(self, trained_dir, tmp_path, capsys, spelling):
+        trace = trained_dir / "trace.jsonl"
+        (tmp_path / "link.jsonl").symlink_to(trace)
+        out = {"same": str(trace),
+               "relative": os.path.relpath(trace),
+               "dotted": str(trained_dir / ".." / trained_dir.name / "trace.jsonl"),
+               "symlink": str(tmp_path / "link.jsonl")}[spelling]
+        before = trace.read_bytes()
+        assert main(["export-heatmap", str(trace), "--out", out]) == 2
+        assert f"error: --out {out} is the trace being read" in capsys.readouterr().err
+        assert trace.read_bytes() == before
+        assert not [p for p in trained_dir.iterdir() if ".tmp." in p.name]
+        assert main(["replay-verify", str(trace)]) == 0
 
     def test_missing_trace_exits_1(self, tmp_path, capsys):
         assert main(["export-heatmap", str(tmp_path / "none.jsonl")]) == 1

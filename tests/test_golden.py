@@ -1,12 +1,13 @@
-"""Golden digests: the artifact bytes of three fixed runs, pinned per host.
+"""Golden digests: the artifact bytes of fixed runs, pinned per host.
 
 ``rankflex train`` writes trace.jsonl, metrics.csv and checkpoint.txt; their
 sha256 digests are pinned for the criterion-8 config and for the desk and
 churn benchmark configs (``bench/workloads.make_config(w, 401, 0)``, copied
 here as literals so the test does not depend on the benchmark's code). A
 shortened wide config (the same 4x512 model and teacher, 12 steps and 4
-allocation events) covers the BLAS shapes the small configs never reach. A
-refactor that must not change behaviour proves it by leaving these alone.
+allocation events) covers the BLAS shapes the small configs never reach, and
+a small relu stack covers the relu forward and backward. A refactor that must
+not change behaviour proves it by leaving these alone.
 
 GEMM results depend on the BLAS build, so the pins are keyed by a host
 fingerprint: the numpy version, the BLAS name and version, and the machine
@@ -34,11 +35,11 @@ def _linear(d, adapter_id, r_init, r_max):
             "adapter": {"id": adapter_id, "r_init": r_init, "r_max": r_max}}
 
 
-def _stack(n, width, prefix, r_init, r_max):
+def _stack(n, width, prefix, r_init, r_max, activation="tanh"):
     layers = []
     for i in range(n):
         if i:
-            layers.append({"type": "tanh"})
+            layers.append({"type": activation})
         layers.append(_linear(width, f"{prefix}{i}", r_init, r_max))
     return layers
 
@@ -88,6 +89,23 @@ WIDE_SHORT = {
 }
 
 
+# The only pinned config with relu layers: their backward masks by the sign
+# of the cached activation output.
+RELU = {
+    "name": "relu", "seed": 715517,
+    "model": {"layers": _stack(3, 20, "r", 6, 12, activation="relu")},
+    "task": {"kind": "low_rank_teacher", "input_dim": 20, "sample_count": 128,
+             "noise_std": 0.05, "teacher_ranks": [8, 2, 5]},
+    "optimizer": {"lr": 0.01},
+    "schedule": {"b0": 2, "t_warmup": 100, "t_final": 50,
+                 "total_steps": 600, "delta_t": 10},
+    "metric": {"variant": "spectral_entropy"},
+    "init_strategy": {"variant": "orthogonal_init"},
+    "mode": "bidirectional",
+    "batch_size": 16,
+}
+
+
 def _criterion_8():
     from test_acceptance import _determinism_config
 
@@ -95,7 +113,7 @@ def _criterion_8():
 
 
 CONFIGS = {"criterion8": _criterion_8, "desk": lambda: DESK, "churn": lambda: CHURN,
-           "wide_short": lambda: WIDE_SHORT}
+           "wide_short": lambda: WIDE_SHORT, "relu": lambda: RELU}
 
 # fingerprint -> config -> (trace.jsonl, metrics.csv, checkpoint.txt) sha256.
 PINNED = {
@@ -119,6 +137,11 @@ PINNED = {
             "e7aee57c256c7416ebc46dd226eb86a6ae15b02726367b2981722764726d7101",
             "46a73e6ffb12bbb821e48a6e328753fbc8c09f2ee83076375372497223a497d4",
             "7fe8cabecca49f0087ceba22cedecdd34f60f4ec152f5f2a21945d63419ca5f9",
+        ),
+        "relu": (
+            "24ef7b703207f55d32f439a3b3428bf100b73d546ed57bb5cd8edad1c6a61e12",
+            "cf5123c7790a714f169e598594da17f97f3709cc5078f0a3188cbff48f136bc3",
+            "769f339fe62049aca8a24282f39b95a0c1357b914d940d0c39e95e0f15270dd0",
         ),
     },
 }

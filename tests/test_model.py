@@ -165,12 +165,15 @@ class TestForward:
         assert len(caches) == 1 and caches[0]["rank"] == 0
 
     def test_caches_hold_only_inputs_and_ranks(self, rng):
-        # Never a layer's output; an adapter whose every lam is live also
-        # leaves the unscaled Q @ x its backward reuses.
+        # Never a linear layer's output; an adapter whose every lam is live
+        # also leaves the unscaled Q @ x its backward reuses. An activation
+        # holds only its output, which is the next layer's input.
         model = build_model(two_layer_specs(), "mse", np.random.default_rng(4))
         x = rng.standard_normal((5, 3))
         _, caches = model.forward(x)
         assert [sorted(c) for c in caches[::2]] == [["input", "rank"]] * 2
+        assert list(caches[1]) == ["output"]
+        assert caches[1]["output"] is caches[2]["input"]
         enc, dec = model.adapters()
         enc.lam[:] = [0.5, -0.25]
         dec.lam[:] = [0.5, 0.0]
@@ -356,6 +359,45 @@ class TestBackward:
         if gamma == 0.0:
             # All lam live: backward reuses forward's Q @ x.
             assert log == forward_calls
+
+
+# Pre-activation values where an output-based derivative could part from
+# the input-based one: signed zeros, infinities, NaNs of either sign,
+# subnormals, values on either side of them, and ordinary values.
+SPECIAL_INPUTS = np.concatenate([[
+    -0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e-310, -1e-310,
+    2.2250738585072014e-308, -2.2250738585072014e-308, 1e-300, -1e-300, 0.5, -0.5,
+    20.0, -20.0, 1e300, -1e300], np.linspace(-3.0, 3.0, 41)])
+
+
+class TestActivationBackwardFromOutput:
+    """tanh's and relu's backward read only the cached output, and give the
+    input-based derivative's bits for every input."""
+
+    @pytest.mark.parametrize("kind", ["tanh", "relu"])
+    def test_matches_input_based_formula_bitwise(self, rng, kind):
+        d = SPECIAL_INPUTS.size
+        model = ToyModel([LinearLayer(rng.standard_normal((d, 3)), bias=np.zeros(d)),
+                          ActivationLayer(kind),
+                          LinearLayer(rng.standard_normal((4, d)), bias=np.zeros(4))], "mse")
+        for cols in ([0], [0, 3, 7]):
+            pre = SPECIAL_INPUTS[np.add.outer(np.arange(d), cols) % d]
+            _, caches = model.forward(rng.standard_normal((3, len(cols))))
+            assert list(caches[1]) == ["output"]
+            # The output array is shared with the next layer's input cache.
+            caches[1]["output"][...] = model.layers[1].forward(pre)
+            g = rng.standard_normal((4, len(cols)))
+            upstream = model.layers[2].base_w.T @ g
+            if kind == "tanh":
+                want = (1.0 - np.tanh(pre) ** 2) * upstream
+            else:
+                want = (pre > 0.0) * upstream
+            grads = model.backward(caches, g)
+            assert_bits(grads["layer0.bias"], want.sum(axis=1))
+
+    def test_relu_mask_from_output_equals_mask_from_input(self):
+        x = np.concatenate([SPECIAL_INPUTS, -SPECIAL_INPUTS])
+        assert np.array_equal(np.maximum(x, 0.0) > 0.0, x > 0.0)
 
 
 class MatmulLog(np.ndarray):
