@@ -18,9 +18,10 @@ import numpy as np
 from rankflex.allocator import BudgetSchedule
 from rankflex.importance import MetricKind
 from rankflex.model import AdapterSpec, LayerSpec
+from rankflex.optim import OptimizerConfig
 from rankflex.tasks import SyntheticTask
 from rankflex.trace import heatmap_csv_lines
-from rankflex.training import OptimizerConfig, TrainConfig, run_training
+from rankflex.training import TrainConfig, run_training
 
 config = TrainConfig(
     name="reallocation-demo",

@@ -9,7 +9,8 @@ little-endian float64 bytes, and the vectors bias and lambda are CSV lines
 with every float written by ``repr``. Version 1, which wrote the matrices as
 ``repr`` CSV too, still loads. Either way loading reproduces the saved model
 bit for bit, so forward passes match exactly. The CLI streams the lines into
-its file and loading pulls them a chunk at a time, never the whole text.
+its file, and loading reads the open file line by line, never the whole
+text.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import islice
 import numpy as np
 
 from .adapter import SvdAdapter
-from .errors import ParseError, reading
+from .errors import ParseError, numbered_lines, reading
 from .linalg import matrix_from_csv_lines, matrix_to_csv_lines
 from .model import ACTIVATION_KINDS, LOSS_KINDS, ActivationLayer, LinearLayer, ToyModel
 
@@ -35,7 +36,6 @@ FORMAT_NAME = "rankflex-checkpoint"
 FORMAT_VERSION = 2
 READABLE_VERSIONS = ("1", "2")
 _ROW_DTYPE = np.dtype("<f8")
-_CHUNK_LINES = 256  # lines a reader pulls at a time
 
 
 def _matrix_lines(m):
@@ -90,37 +90,19 @@ def checkpoint_lines(model):
 
 
 class _Reader:
-    """Walks the non-blank lines of an iterable of lines, pulled from it a
-    chunk at a time; error messages carry source line numbers."""
+    """Walks the non-blank lines of an iterable of lines (an open text file
+    too); error messages carry source line numbers."""
 
     def __init__(self, lines):
-        self.source = enumerate(lines, 1)
-        self.held, self.pos = [], 0  # (line number, line) pairs; the next one's index
+        self.lines = numbered_lines(lines)
         self.last = 0  # number of the last line read
         self.version = FORMAT_VERSION
 
-    def hold(self, count):
-        """Whether ``count`` more lines remain; pulls chunks until they are held."""
-        while len(self.held) - self.pos < count:
-            chunk = list(islice(self.source, _CHUNK_LINES))
-            if not chunk:
-                return False
-            kept = [(n, s) for n, ln in chunk if (s := ln.rstrip("\n")).strip()]
-            if kept:
-                self.held, self.pos = self.held[self.pos:] + kept, 0
-        return True
-
-    def number(self):
-        """Source line number of the next line; one past the last beyond it."""
-        if self.hold(1):
-            return self.held[self.pos][0]
-        return (self.held[-1][0] if self.held else 0) + 1
-
     def next(self, expect=None):
-        if self.pos == len(self.held) and not self.hold(1):
-            raise ParseError(f"line {self.number()}: unexpected end of checkpoint")
-        self.last, line = self.held[self.pos]
-        self.pos += 1
+        numbered = next(self.lines, None)
+        if numbered is None:
+            raise ParseError(f"line {self.last + 1}: unexpected end of checkpoint")
+        self.last, line = numbered
         if expect is not None and line != expect:
             raise ParseError(f"line {self.last}: expected {expect!r}, got {line!r}")
         return line
@@ -129,11 +111,11 @@ class _Reader:
         """The next ``rows`` (line number, line) pairs."""
         if rows < 1 or cols < 1:
             raise ParseError(f"line {self.last}: {what} shape ({rows}, {cols}) is not positive")
-        if not self.hold(rows):
-            raise ParseError(f"line {self.number()}: {what} truncated")
-        start, self.pos = self.pos, self.pos + rows
-        self.last = self.held[self.pos - 1][0]
-        return self.held[start:self.pos]
+        block = list(islice(self.lines, rows))
+        if len(block) < rows:
+            raise ParseError(f"line {block[0][0] if block else self.last + 1}: {what} truncated")
+        self.last = block[-1][0]
+        return block
 
     def _csv(self, rows, cols, what):
         block = self._take(rows, cols, what)
@@ -274,8 +256,8 @@ def _parse_model(reader):
             bias = reader.vector(d_out, "bias")
         adapter = _parse_adapter(reader, base.shape) if adapter_flag == "yes" else None
         layers.append(LinearLayer(base, bias=bias, adapter=adapter))
-    if reader.hold(1):
-        raise ParseError(f"line {reader.number()}: trailing content after last layer")
+    if (extra := next(reader.lines, None)) is not None:
+        raise ParseError(f"line {extra[0]}: trailing content after last layer")
     return ToyModel(layers, loss)
 
 

@@ -41,7 +41,8 @@ from .errors import (
     ParseError,
     RankflexError,
     TraceError,
-    read_text,
+    numbered_lines,
+    reading,
 )
 from .importance import EPSILON_DEFAULT, SPECTRUM_METRICS, spectrum_flag
 from .linalg import matrix_from_csv_lines
@@ -155,8 +156,8 @@ def cmd_train(args):
 
 
 def _load_spectrum_csv(path):
-    text = read_text(path, ParseError, "spectrum file")
-    rows = [ln for ln in text.splitlines() if ln.strip()]
+    with reading(path, ParseError, "spectrum file"), open(path, encoding="utf-8") as fh:
+        rows = [line for _, line in numbered_lines(fh)]
     if not rows:
         raise ParseError("empty spectrum file")
     if len(rows) != 1:

@@ -26,7 +26,7 @@ import math
 import types
 import typing
 
-from .errors import ConfigError, ParameterError, read_text
+from .errors import ConfigError, ParameterError, reading
 from .model import ACTIVATION_KINDS, AdapterSpec, LayerSpec
 from .training import TrainConfig
 
@@ -213,10 +213,10 @@ def apply_overrides(obj, overrides):
 
 
 def load_config_file(path):
-    text = read_text(path, ConfigError, "config file")
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}") from None
-    except RecursionError:
-        raise ConfigError(f"{path}: JSON nested too deeply") from None
+    with reading(path, ConfigError, "config file"), open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}") from None
+        except RecursionError:
+            raise ConfigError(f"{path}: JSON nested too deeply") from None

@@ -1,5 +1,6 @@
 """Exception types shared across the package, the check of a choice field,
-and the reader that maps a user-named file's I/O failures onto them."""
+the context that maps a user-named file's I/O failures onto them, and what
+a line of a text artifact is."""
 
 from contextlib import contextmanager
 
@@ -62,7 +63,7 @@ def check_choice(name, value, choices):
 @contextmanager
 def reading(path, error, what):
     """Raise ``error``, naming ``what`` and the path, for a user-named file that
-    is missing, a directory, unreadable, or not UTF-8 anywhere in it."""
+    is missing, a directory, unreadable, or not UTF-8 anywhere that is read."""
     try:
         yield
     except FileNotFoundError:
@@ -71,7 +72,8 @@ def reading(path, error, what):
         raise error(f"cannot read {what} {path}: {exc}") from None
 
 
-def read_text(path, error, what):
-    """Contents of the UTF-8 file ``path``, its failures mapped by ``reading``."""
-    with reading(path, error, what), open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def numbered_lines(lines):
+    r"""(1-based number, line without its trailing "\n") for each non-blank
+    line of ``lines``: a list of lines, or an open text file, which ends a
+    line only at "\n", "\r\n" or "\r"."""
+    return ((n, line.rstrip("\n")) for n, line in enumerate(lines, 1) if line.strip())

@@ -8,10 +8,12 @@ Frobenius norms, two energy-entropy hybrids that re-weight the entropy terms
 by the raw singular values, and a gradient-based sensitivity score smoothed
 by exponential moving averages.
 
-All spectrum metrics accept any finite 1-D array of signed values: only
-magnitudes enter the formulas, and training-time spectra routinely go
-negative. Scale invariance holds for spectral_entropy exactly (the energy
-distribution is unchanged under lambda -> c*lambda).
+All spectrum metrics accept any finite 1-D array of signed values, since
+training-time spectra routinely go negative. The entropy and the norms depend
+only on magnitudes; the two hybrids weight by the signed values, so negating
+a spectrum negates their scores. Scale invariance holds for
+spectral_entropy exactly (the energy distribution is unchanged under
+lambda -> c*lambda).
 """
 
 from __future__ import annotations
@@ -115,6 +117,24 @@ def energy_distribution(lam):
     return e / total
 
 
+def _entropy(lam, epsilon, zero_energy, weigh):
+    """The steps the entropy metrics share. A rank-1 spectrum scores 0.0 and
+    an all-zero one ``zero_energy``; any other scores ``weigh(v, pos, s,
+    log_s)``: the values, the mask of the positive energy shares, those
+    shares, and the log of each plus ``epsilon``."""
+    _check_epsilon(epsilon)
+    v = _values(lam)
+    if v.size == 1:
+        return 0.0
+    try:
+        s = energy_distribution(v)
+    except DegenerateSpectrumError:
+        return zero_energy
+    pos = s > 0.0
+    s = s[pos]
+    return weigh(v, pos, s, np.log(s + epsilon))
+
+
 def spectral_entropy(lam, epsilon=EPSILON_DEFAULT):
     """Entropy of the energy distribution, normalized to [0, 1].
 
@@ -123,18 +143,8 @@ def spectral_entropy(lam, epsilon=EPSILON_DEFAULT):
     is clamped below at 0: a fully concentrated spectrum would otherwise land
     an epsilon-sized hair under zero.
     """
-    _check_epsilon(epsilon)
-    v = _values(lam)
-    r = v.size
-    if r == 1:
-        return 0.0
-    try:
-        s = energy_distribution(v)
-    except DegenerateSpectrumError:
-        return 1.0
-    pos = s > 0.0
-    h = -float(np.sum(s[pos] * np.log(s[pos] + epsilon)))
-    return max(0.0, h / math.log(r))
+    return _entropy(lam, epsilon, 1.0, lambda v, pos, s, log_s:
+                    max(0.0, -float(np.sum(s * log_s)) / math.log(v.size)))
 
 
 def nuclear_mean(lam):
@@ -150,35 +160,19 @@ def frobenius_mean(lam):
 
 
 def elem_energy_entropy(lam, epsilon=EPSILON_DEFAULT):
-    """Entropy variant weighting each term by its own singular value."""
-    _check_epsilon(epsilon)
-    v = _values(lam)
-    r = v.size
-    if r == 1:
-        return 0.0
-    try:
-        s = energy_distribution(v)
-    except DegenerateSpectrumError:
-        return 0.0
-    pos = s > 0.0
-    total = float(np.sum(v[pos] * s[pos] * np.log(s[pos] + epsilon)))
-    return -total / (r * math.log(r))
+    """Entropy variant weighting each term by its own signed singular value:
+    -sum(lam_i s_i log s_i) / (r log r), so it changes sign with the
+    spectrum. Rank-1 and all-zero spectra score 0.0."""
+    return _entropy(lam, epsilon, 0.0, lambda v, pos, s, log_s:
+                    -float(np.sum(v[pos] * s * log_s)) / (v.size * math.log(v.size)))
 
 
 def mat_energy_entropy(lam, epsilon=EPSILON_DEFAULT):
-    """Entropy variant scaling the whole sum by the summed singular values."""
-    _check_epsilon(epsilon)
-    v = _values(lam)
-    r = v.size
-    if r == 1:
-        return 0.0
-    try:
-        s = energy_distribution(v)
-    except DegenerateSpectrumError:
-        return 0.0
-    pos = s > 0.0
-    ent = float(np.sum(s[pos] * np.log(s[pos] + epsilon)))
-    return -float(np.sum(v)) * ent / (r * math.log(r))
+    """Entropy variant scaling the whole sum by the signed sum of the
+    singular values: -sum(lam) sum(s_i log s_i) / (r log r), so it changes
+    sign with the spectrum. Rank-1 and all-zero spectra score 0.0."""
+    return _entropy(lam, epsilon, 0.0, lambda v, pos, s, log_s:
+                    -float(np.sum(v)) * float(np.sum(s * log_s)) / (v.size * math.log(v.size)))
 
 
 def sensitivity_update(state, params, grads, beta1=0.85, beta2=0.85):

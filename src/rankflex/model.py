@@ -119,9 +119,10 @@ class LinearLayer:
 
 
 class ActivationLayer:
+    """An elementwise activation; ``forward`` states each kind's function."""
+
     def __init__(self, kind):
-        if kind not in ACTIVATION_KINDS:
-            raise ParameterError(f"unknown activation {kind!r}")
+        check_choice("kind", kind, ACTIVATION_KINDS)
         self.kind = kind
 
     def forward(self, x):
@@ -164,8 +165,7 @@ class ToyModel:
     """Layer stack plus a loss kind; owns the forward/backward pair."""
 
     def __init__(self, layers, loss):
-        if loss not in LOSS_KINDS:
-            raise ParameterError(f"unknown loss {loss!r}")
+        check_choice("loss", loss, LOSS_KINDS)
         layers = list(layers)
         if not layers:
             raise ParameterError("model needs at least one layer")

@@ -6,7 +6,8 @@ deletes the matching slice of m and v, expansion appends zeros, and every
 untouched direction keeps its accumulated state. The caller names the
 arrays a change touches and their direction axes. Weight decay is decoupled
 (applied directly to the parameter, not through the gradient), runs before
-the moment update, and skips any name passed in ``no_decay``.
+the moment update, and skips any name passed in ``no_decay``. The
+hyperparameters are stated and range-checked once, in ``OptimizerConfig``.
 
 m and v live in two contiguous float64 buffers, one span per parameter in
 sorted-name order; ``state[name]["m"]`` and ``["v"]`` are reshaped views of
@@ -21,30 +22,40 @@ replaces a name's views with resized arrays), and when a new name appears.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError
 
-__all__ = ["AdamW"]
+__all__ = ["AdamW", "OptimizerConfig"]
+
+
+@dataclass(frozen=True)
+class OptimizerConfig:
+    """AdamW's hyperparameters, each range-checked here."""
+
+    lr: float = 1e-2
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    weight_decay: float = 0.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ParameterError("lr must be positive and finite")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ParameterError(f"{name} must lie in [0, 1)")
+        if not self.eps > 0.0:
+            raise ParameterError("eps must be positive")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ParameterError("weight_decay must be >= 0 and finite")
 
 
 class AdamW:
-    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
-        if not (math.isfinite(lr) and lr > 0.0):
-            raise ParameterError("lr must be positive and finite")
-        for name, b in (("beta1", beta1), ("beta2", beta2)):
-            if not 0.0 <= b < 1.0:
-                raise ParameterError(f"{name} must lie in [0, 1)")
-        if not eps > 0.0:
-            raise ParameterError("eps must be positive")
-        if not (math.isfinite(weight_decay) and weight_decay >= 0.0):
-            raise ParameterError("weight_decay must be >= 0 and finite")
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
+    def __init__(self, config):
+        self.config = config
         self.t = 0
         self.state = {}
         # The (name, shape) layout the flat buffers were packed for; None
@@ -74,8 +85,9 @@ class AdamW:
         self.t += 1
         if not ps:
             return
-        if self.weight_decay > 0.0:
-            decay = self.lr * self.weight_decay
+        c = self.config
+        if c.weight_decay > 0.0:
+            decay = c.lr * c.weight_decay
             for name, p in zip(names, ps):
                 if name not in no_decay:
                     p -= decay * p
@@ -85,17 +97,17 @@ class AdamW:
         # one the per-array formula rounds.
         m, v, g, upd, den = self._m, self._v, self._g, self._upd, self._den
         np.concatenate(gs, axis=None, out=g)
-        m *= self.beta1
-        m += np.multiply(g, 1.0 - self.beta1, out=upd)
-        v *= self.beta2
+        m *= c.beta1
+        m += np.multiply(g, 1.0 - c.beta1, out=upd)
+        v *= c.beta2
         g *= g
-        g *= 1.0 - self.beta2
+        g *= 1.0 - c.beta2
         v += g
-        np.divide(m, 1.0 - self.beta1**self.t, out=upd)
-        upd *= self.lr
-        np.divide(v, 1.0 - self.beta2**self.t, out=den)
+        np.divide(m, 1.0 - c.beta1**self.t, out=upd)
+        upd *= c.lr
+        np.divide(v, 1.0 - c.beta2**self.t, out=den)
         np.sqrt(den, out=den)
-        den += self.eps
+        den += c.eps
         upd /= den
         for p, u in zip(ps, self._upd_views):
             p -= u

@@ -82,12 +82,7 @@ class TeacherNet:
         if h.ndim != 2:
             raise ShapeError("input batch must be 2-D")
         for kind, w in self.layers:
-            if kind == "linear":
-                h = w @ h
-            elif kind == "tanh":
-                h = np.tanh(h)
-            else:
-                h = np.maximum(h, 0.0)
+            h = w @ h if kind == "linear" else ActivationLayer(kind).forward(h)
         return h
 
 

@@ -4,8 +4,9 @@ A trace is line-delimited JSON: one header record (seed, config hash,
 schedule, adapter roster), zero or more event records in application order,
 and at most one trailing abort record. Keys are sorted and separators fixed,
 so identical runs serialize to identical bytes. This module owns every
-record's JSON form, the allocator's ``AllocationEvent`` included; a record
-read back must have the JSON types written and pass the event's own checks.
+record's JSON form, the allocator's ``AllocationEvent`` included; each
+non-blank line read back is one record, which must have the JSON types
+written and pass the event's own checks.
 
 ``verify_trace`` replays the bookkeeping from scratch — rank bounds, step
 legality against the schedule, per-step budget caps, mode conformance,
@@ -21,7 +22,7 @@ import math
 from dataclasses import fields
 
 from .allocator import ALLOCATOR_MODES, AllocationEvent, BudgetSchedule
-from .errors import ParameterError, TraceError, read_text
+from .errors import ParameterError, TraceError, numbered_lines, reading
 from .importance import METRIC_VARIANTS
 
 __all__ = [
@@ -108,62 +109,59 @@ def _check_values(obj, checks, record, lineno):
 
 
 def read_trace(path):
-    """Parse a trace file into (header, events, abort-or-None).
+    """Parse a trace file, read line by line, into (header, events, abort-or-None).
 
     Structural problems, fields of the wrong type, an event that contradicts
     itself and an unknown version, mode or metric raise TraceError naming
     the offending line (1-based).
     """
-    raw = read_text(path, TraceError, "trace file").splitlines()
-    lines = [(i + 1, ln) for i, ln in enumerate(raw) if ln.strip()]
-    if not lines:
-        raise TraceError("line 1: empty trace")
     header = None
     events = []
     abort = None
-    for lineno, text in lines:
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise TraceError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-        if not isinstance(obj, dict) or "type" not in obj:
-            raise TraceError(f"line {lineno}: record has no type")
-        kind = obj["type"]
-        if kind == "header":
-            if header is not None:
-                raise TraceError(f"line {lineno}: duplicate header")
-            for key in ("version", "seed", "mode", "metric", "schedule", "adapters"):
-                if key not in obj:
-                    raise TraceError(f"line {lineno}: header missing {key!r}")
-            _check_values(obj, _HEADER_VALUES, "header", lineno)
-            if not _is_roster(obj["adapters"]):
-                raise TraceError(f"line {lineno}: header adapters must be a list of objects "
-                                 "with a string id and integer r_init, r_max and depth")
+    with reading(path, TraceError, "trace file"), open(path, encoding="utf-8") as fh:
+        for lineno, text in numbered_lines(fh):
             try:
-                _header_schedule(obj)
-            except Exception as exc:
-                raise TraceError(f"line {lineno}: bad schedule ({exc})") from None
-            header = obj
-        elif kind == "event":
-            if header is None:
-                raise TraceError(f"line {lineno}: event before header")
-            if abort is not None:
-                raise TraceError(f"line {lineno}: event after abort record")
-            try:
-                events.append(_event_from_json(obj))
-            except Exception as exc:
-                raise TraceError(f"line {lineno}: bad event ({exc})") from None
-        elif kind == "abort":
-            if header is None:
-                raise TraceError(f"line {lineno}: abort before header")
-            if abort is not None:
-                raise TraceError(f"line {lineno}: duplicate abort record")
-            _check_values(obj, _ABORT_VALUES, "abort record", lineno)
-            abort = obj
-        else:
-            raise TraceError(f"line {lineno}: unknown record type {kind!r}")
-    if header is None:
-        raise TraceError("line 1: missing header record")
+                obj = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise TraceError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+            if not isinstance(obj, dict) or "type" not in obj:
+                raise TraceError(f"line {lineno}: record has no type")
+            kind = obj["type"]
+            if kind == "header":
+                if header is not None:
+                    raise TraceError(f"line {lineno}: duplicate header")
+                for key in ("version", "seed", "mode", "metric", "schedule", "adapters"):
+                    if key not in obj:
+                        raise TraceError(f"line {lineno}: header missing {key!r}")
+                _check_values(obj, _HEADER_VALUES, "header", lineno)
+                if not _is_roster(obj["adapters"]):
+                    raise TraceError(f"line {lineno}: header adapters must be a list of objects "
+                                     "with a string id and integer r_init, r_max and depth")
+                try:
+                    _header_schedule(obj)
+                except Exception as exc:
+                    raise TraceError(f"line {lineno}: bad schedule ({exc})") from None
+                header = obj
+            elif kind == "event":
+                if header is None:
+                    raise TraceError(f"line {lineno}: event before header")
+                if abort is not None:
+                    raise TraceError(f"line {lineno}: event after abort record")
+                try:
+                    events.append(_event_from_json(obj))
+                except Exception as exc:
+                    raise TraceError(f"line {lineno}: bad event ({exc})") from None
+            elif kind == "abort":
+                if header is None:
+                    raise TraceError(f"line {lineno}: abort before header")
+                if abort is not None:
+                    raise TraceError(f"line {lineno}: duplicate abort record")
+                _check_values(obj, _ABORT_VALUES, "abort record", lineno)
+                abort = obj
+            else:
+                raise TraceError(f"line {lineno}: unknown record type {kind!r}")
+    if header is None:  # any first record but a header has raised
+        raise TraceError("line 1: empty trace")
     return header, events, abort
 
 

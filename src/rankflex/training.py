@@ -13,13 +13,13 @@ values and strides either way, so the GEMMs round identically.
 Step order: sample batch, forward (which leaves Q @ x for adapters whose
 every lam is live), loss, divergence check, backward (ending with the first
 linear layer's parameter gradients), sensitivity EMA update (when that
-metric is active), optimizer step, then — at allocation steps with nonzero
-budget — score, select, apply, and sync the optimizer state to the new
-ranks. The loop runs with numpy's overflow and invalid-value warnings off:
-a diverging run reports itself through its abort record. The name-keyed
-parameter dict handed to the optimizer is collected before the first step
-and again after each such allocation step, the only place where arrays are
-replaced.
+metric is active), the step of the AdamW that ``config.optimizer``
+configures, then — at allocation steps with nonzero budget — score, select,
+apply, and sync the optimizer state to the new ranks. The loop runs with
+numpy's overflow and invalid-value warnings off: a diverging run reports
+itself through its abort record. The name-keyed parameter dict handed to
+the optimizer is collected before the first step and again after each such
+allocation step, the only place where arrays are replaced.
 The result keeps the teacher for held-out evaluation but not the training
 data set, which is freed when the run returns.
 """
@@ -37,7 +37,7 @@ from .errors import ParameterError, check_choice
 from .importance import MetricKind, SensitivityState, score_all, sensitivity_update
 from .linalg import split_rng
 from .model import LOSS_KINDS, LayerSpec, ToyModel, build_model
-from .optim import AdamW
+from .optim import AdamW, OptimizerConfig
 from .tasks import (
     SyntheticTask,
     build_teacher,
@@ -48,7 +48,6 @@ from .tasks import (
 from .trace import TRACE_VERSION
 
 __all__ = [
-    "OptimizerConfig",
     "TrainConfig",
     "TrainResult",
     "run_training",
@@ -57,22 +56,6 @@ __all__ = [
 
 # Training aborts when the loss blows past this multiple of its first value.
 DIVERGENCE_FACTOR = 1e6
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    lr: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-
-    def __post_init__(self):
-        # Range checks live in AdamW; building one validates the config.
-        AdamW(self.lr, self.beta1, self.beta2, self.eps, self.weight_decay)
-
-    def build(self):
-        return AdamW(self.lr, self.beta1, self.beta2, self.eps, self.weight_decay)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -246,7 +229,7 @@ def run_training(config):
     targets = np.asfortranarray(targets)
 
     adapters = model.adapters()
-    optimizer = config.optimizer.build()
+    optimizer = AdamW(config.optimizer)
     states = {a.id: SensitivityState() for a in adapters}
     use_sensitivity = config.metric.variant == "sensitivity"
 

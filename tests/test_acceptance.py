@@ -29,9 +29,10 @@ from rankflex.importance import (
     spectral_entropy,
 )
 from rankflex.model import AdapterSpec, LayerSpec, LinearLayer, build_model, mse_loss
+from rankflex.optim import OptimizerConfig
 from rankflex.tasks import SyntheticTask, sample_regression
 from rankflex.trace import heatmap_csv_lines, read_trace, trace_lines, verify_trace
-from rankflex.training import OptimizerConfig, TrainConfig, run_training
+from rankflex.training import TrainConfig, run_training
 
 
 @contextmanager

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankflex import checkpoint
 from rankflex.adapter import InitStrategy
 from rankflex.checkpoint import (
     adapter_record_lines,
@@ -432,34 +431,25 @@ def stack_model(width, layers=4, seed=80):
 
 
 class TestStreaming:
-    """The reader pulls its lines a chunk at a time; no message and no
-    result depends on where the chunks end."""
-
-    def test_model_spans_many_chunks(self, rng):
-        lines = checkpoint_lines(stack_model(64))
-        assert len(lines) > 2 * checkpoint._CHUNK_LINES
-        assert_models_identical(stack_model(64), parse_checkpoint_lines(iter(lines)), rng)
+    """Loading reads the open file line by line; a file gives the same model
+    or the same message as its lines given as a list, however deep the
+    problem lies."""
 
     @settings(max_examples=150, deadline=None)
-    @given(lines=mutated_checkpoint(), blanks=st.lists(st.integers(0, 80), max_size=6),
-           chunk=st.sampled_from([1, 2, 3, 7]))
-    def test_chunk_size_changes_no_message(self, lines, blanks, chunk):
+    @given(lines=mutated_checkpoint(), blanks=st.lists(st.integers(0, 80), max_size=6))
+    def test_file_and_list_agree(self, tmp_path_factory, lines, blanks):
         for at in blanks:
             lines.insert(min(at, len(lines)), " " if at % 2 else "")
+        path = tmp_path_factory.getbasetemp() / "mutated.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-        def outcome():
+        def outcome(parse, source):
             try:
-                return checkpoint_lines(parse_checkpoint_lines(lines))
+                return checkpoint_lines(parse(source))
             except ParseError as exc:
                 return str(exc)
 
-        whole = outcome()
-        saved = checkpoint._CHUNK_LINES
-        checkpoint._CHUNK_LINES = chunk
-        try:
-            assert outcome() == whole
-        finally:
-            checkpoint._CHUNK_LINES = saved
+        assert outcome(load_checkpoint, path) == outcome(parse_checkpoint_lines, lines)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda lines, at: lines.__setitem__(at, lines[at][:-4]), "not base64|bytes"),
@@ -467,24 +457,25 @@ class TestStreaming:
         (lambda lines, at: lines.append("extra"), "trailing content"),
     ], ids=["bad-row", "truncated", "trailing"])
     def test_deep_errors_name_their_line(self, edit, message):
-        lines = checkpoint_lines(stack_model(64))
-        at = len(lines) - 5  # a row of the last Q, with two blank lines before it
-        lines[at - 2:at - 2] = ["", "  "]
-        at += 2
+        lines = checkpoint_lines(stack_model(128))
+        first = len(lines) - lines[::-1].index("Q")  # the last Q block's first row
+        lines[first:first] = ["", "  "]
+        at = len(lines) - 5  # a row of that block
         edit(lines, at)
-        # The bad row; the first row of the cut block; the extra line.
-        want = {"not base64|bytes": at + 1, "Q truncated": len(lines) - lines[::-1].index("Q") + 1,
+        # The bad row; the first row of the cut block, past the blank lines;
+        # the extra line.
+        want = {"not base64|bytes": at + 1, "Q truncated": first + 3,
                 "trailing content": len(lines)}[message]
-        assert want > 2 * checkpoint._CHUNK_LINES
+        assert want > 1000
         with pytest.raises(ParseError, match=rf"^line {want}: .*({message})"):
             parse_checkpoint_lines(lines)
 
     def test_bad_byte_past_the_first_chunk(self, tmp_path):
         path = tmp_path / "model.txt"
-        save(stack_model(64), path)
+        save(stack_model(128), path)
         data = bytearray(path.read_bytes())
         at = data.rindex(b"\nQ\n") + 5
-        assert data[:at].count(b"\n") > 2 * checkpoint._CHUNK_LINES
+        assert data[:at].count(b"\n") > 1000
         data[at] = 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(ParseError, match=f"^cannot read checkpoint file {re.escape(str(path))}: "

@@ -611,6 +611,14 @@ class TestReplayVerify:
         assert main(["replay-verify", str(trace)]) == 1
         assert "header adapters" in capsys.readouterr().err
 
+    def test_bad_byte_deep_in_trace_exits_1(self, tmp_path, capsys):
+        records = typed_trace_records()
+        trace = tmp_path / "trace.jsonl"
+        data = "\n".join(map(json.dumps, [records[0]] + [records[1]] * 2000)).encode()
+        trace.write_bytes(data[:-10] + b"\xff" + data[-9:] + b"\n")
+        assert main(["replay-verify", str(trace)]) == 1
+        assert f"cannot read trace file {trace}: 'utf-8' codec" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line, index", [(1, 99), (1, 3), (2, 0), (2, 4)],
                              ids=["prune-99", "prune-at-rank", "expand-0", "expand-past-rank"])
     def test_event_index_contradicting_its_rank_fails(self, tmp_path, capsys, line, index):

@@ -15,6 +15,8 @@ from rankflex.errors import (
 from rankflex.importance import (
     MetricKind,
     SensitivityState,
+    _check_epsilon,
+    _values,
     elem_energy_entropy,
     energy_distribution,
     frobenius_mean,
@@ -166,6 +168,83 @@ class TestComparators:
                        - float(oracles.mp_elem_energy_entropy(lam))) < 1e-10
             assert abs(mat_energy_entropy(lam)
                        - float(oracles.mp_mat_energy_entropy(lam))) < 1e-10
+
+
+# The three entropy metrics as each stated its own opening steps, kept as
+# the reference their shared core must match bit for bit.
+def parent_spectral_entropy(lam, epsilon):
+    _check_epsilon(epsilon)
+    v = _values(lam)
+    r = v.size
+    if r == 1:
+        return 0.0
+    try:
+        s = energy_distribution(v)
+    except DegenerateSpectrumError:
+        return 1.0
+    pos = s > 0.0
+    h = -float(np.sum(s[pos] * np.log(s[pos] + epsilon)))
+    return max(0.0, h / math.log(r))
+
+
+def parent_elem_energy_entropy(lam, epsilon):
+    _check_epsilon(epsilon)
+    v = _values(lam)
+    r = v.size
+    if r == 1:
+        return 0.0
+    try:
+        s = energy_distribution(v)
+    except DegenerateSpectrumError:
+        return 0.0
+    pos = s > 0.0
+    total = float(np.sum(v[pos] * s[pos] * np.log(s[pos] + epsilon)))
+    return -total / (r * math.log(r))
+
+
+def parent_mat_energy_entropy(lam, epsilon):
+    _check_epsilon(epsilon)
+    v = _values(lam)
+    r = v.size
+    if r == 1:
+        return 0.0
+    try:
+        s = energy_distribution(v)
+    except DegenerateSpectrumError:
+        return 0.0
+    pos = s > 0.0
+    ent = float(np.sum(s[pos] * np.log(s[pos] + epsilon)))
+    return -float(np.sum(v)) * ent / (r * math.log(r))
+
+
+# Values spanning every float64 magnitude, the signed zeros and the
+# subnormals, whose squares underflow to zero energy shares.
+_SPECTRUM_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, -1e-155]),
+)
+
+
+class TestEntropyCoreIdentity:
+    @settings(max_examples=500, deadline=None)
+    @given(lam=st.lists(_SPECTRUM_VALUES, min_size=1, max_size=13),
+           epsilon=st.sampled_from([1e-12, 5e-324, 1e-300, 0.5, 1e10]))
+    def test_shared_core_equals_parent_bodies(self, lam, epsilon):
+        pairs = [(spectral_entropy, parent_spectral_entropy),
+                 (elem_energy_entropy, parent_elem_energy_entropy),
+                 (mat_energy_entropy, parent_mat_energy_entropy)]
+        for fn, parent in pairs:
+            with np.errstate(over="ignore", invalid="ignore"):  # squares past 1e308
+                got, want = np.float64(fn(lam, epsilon)), np.float64(parent(lam, epsilon))
+            assert got.view(np.uint64) == want.view(np.uint64), fn.__name__
+
+    def test_signed_hybrids(self):
+        # The hybrids weight by signed values; the docstrings say so.
+        assert math.copysign(1.0, elem_energy_entropy([1.0, -1.0])) == -1.0
+        assert elem_energy_entropy([1.0, 1.0]) == ELEM_1_1
+        assert mat_energy_entropy([-2.0, -1.0]) == -MAT_2_1
+        assert mat_energy_entropy([2.0, 1.0]) == MAT_2_1
 
 
 class TestSensitivity:

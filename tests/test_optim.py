@@ -5,7 +5,7 @@ import pytest
 
 from rankflex.allocator import AllocationEvent
 from rankflex.errors import ParameterError, ShapeError
-from rankflex.optim import AdamW
+from rankflex.optim import AdamW, OptimizerConfig
 
 
 def manual_adamw(p0, grads_by_step, lr, b1, b2, eps, wd, decay=True):
@@ -25,28 +25,28 @@ def manual_adamw(p0, grads_by_step, lr, b1, b2, eps, wd, decay=True):
 class TestValidation:
     def test_rejects_bad_hyperparameters(self):
         with pytest.raises(ParameterError):
-            AdamW(lr=0.0)
+            OptimizerConfig(lr=0.0)
         with pytest.raises(ParameterError):
-            AdamW(beta1=1.0)
+            OptimizerConfig(beta1=1.0)
         with pytest.raises(ParameterError):
-            AdamW(beta2=-0.1)
+            OptimizerConfig(beta2=-0.1)
         with pytest.raises(ParameterError):
-            AdamW(eps=0.0)
+            OptimizerConfig(eps=0.0)
         with pytest.raises(ParameterError):
-            AdamW(weight_decay=-1e-3)
+            OptimizerConfig(weight_decay=-1e-3)
 
     def test_missing_gradient(self):
-        opt = AdamW()
+        opt = AdamW(OptimizerConfig())
         with pytest.raises(ParameterError):
             opt.step({"w": np.zeros(2)}, {})
 
     def test_grad_shape_mismatch(self):
-        opt = AdamW()
+        opt = AdamW(OptimizerConfig())
         with pytest.raises(ShapeError):
             opt.step({"w": np.zeros(2)}, {"w": np.zeros(3)})
 
     def test_state_shape_desync_detected(self):
-        opt = AdamW()
+        opt = AdamW(OptimizerConfig())
         w = np.zeros(3)
         opt.step({"w": w}, {"w": np.ones(3)})
         grown = np.zeros(4)
@@ -58,7 +58,7 @@ class TestStep:
     def test_single_step_matches_manual(self):
         w = np.array([1.0, -2.0])
         g = np.array([0.5, 0.1])
-        opt = AdamW(lr=0.1)
+        opt = AdamW(OptimizerConfig(lr=0.1))
         opt.step({"w": w}, {"w": g})
         expect = [manual_adamw(p0, [gi], 0.1, 0.9, 0.999, 1e-8, 0.0)
                   for p0, gi in ((1.0, 0.5), (-2.0, 0.1))]
@@ -67,7 +67,7 @@ class TestStep:
     def test_three_steps_match_manual(self):
         w = np.array([0.7])
         gs = [0.3, -0.2, 0.05]
-        opt = AdamW(lr=0.05, weight_decay=0.01)
+        opt = AdamW(OptimizerConfig(lr=0.05, weight_decay=0.01))
         for g in gs:
             opt.step({"w": w}, {"w": np.array([g])})
         assert w[0] == pytest.approx(
@@ -76,7 +76,7 @@ class TestStep:
     def test_zero_grad_leaves_param_untouched(self):
         w = np.array([2.0, -3.0])
         before = w.copy()
-        opt = AdamW(lr=0.5)
+        opt = AdamW(OptimizerConfig(lr=0.5))
         for _ in range(5):
             opt.step({"w": w}, {"w": np.zeros(2)})
         assert np.array_equal(w, before)
@@ -84,7 +84,7 @@ class TestStep:
     def test_decay_is_decoupled(self):
         # Zero gradient, nonzero decay: the update is exactly multiplicative.
         w = np.array([4.0])
-        opt = AdamW(lr=1.0, weight_decay=0.01)
+        opt = AdamW(OptimizerConfig(lr=1.0, weight_decay=0.01))
         opt.step({"w": w}, {"w": np.zeros(1)})
         assert w[0] == 4.0 * 0.99
 
@@ -92,7 +92,7 @@ class TestStep:
         # Order matters: decay-first shrinks the parameter before the moment
         # update subtracts, so the result differs from decay-last.
         w = np.array([1.0])
-        opt = AdamW(lr=0.1, weight_decay=0.5)
+        opt = AdamW(OptimizerConfig(lr=0.1, weight_decay=0.5))
         opt.step({"w": w}, {"w": np.array([1.0])})
         decay_first = manual_adamw(1.0, [1.0], 0.1, 0.9, 0.999, 1e-8, 0.5)
         assert w[0] == pytest.approx(decay_first, abs=1e-15)
@@ -103,7 +103,7 @@ class TestStep:
     def test_no_decay_names_skip_decay(self):
         w = np.array([4.0])
         b = np.array([4.0])
-        opt = AdamW(lr=1.0, weight_decay=0.01)
+        opt = AdamW(OptimizerConfig(lr=1.0, weight_decay=0.01))
         opt.step({"w": w, "bias": b}, {"w": np.zeros(1), "bias": np.zeros(1)},
                  no_decay=("bias",))
         assert w[0] == 4.0 * 0.99
@@ -115,7 +115,7 @@ class TestStep:
         w = np.array([10.0])
         g = np.array([0.25])
         n, lr = 50, 0.01
-        opt = AdamW(lr=lr)
+        opt = AdamW(OptimizerConfig(lr=lr))
         for _ in range(n):
             opt.step({"w": w}, {"w": g})
         expect = 10.0 - n * lr * 0.25 / (0.25 + 1e-8)
@@ -124,8 +124,8 @@ class TestStep:
     def test_sign_symmetry(self):
         wp = np.array([1.0])
         wn = np.array([-1.0])
-        opt_p = AdamW(lr=0.1)
-        opt_n = AdamW(lr=0.1)
+        opt_p = AdamW(OptimizerConfig(lr=0.1))
+        opt_n = AdamW(OptimizerConfig(lr=0.1))
         for _ in range(4):
             opt_p.step({"w": wp}, {"w": np.array([0.3])})
             opt_n.step({"w": wn}, {"w": np.array([-0.3])})
@@ -133,7 +133,7 @@ class TestStep:
 
     def test_state_accumulates_across_steps(self):
         w = np.array([0.0])
-        opt = AdamW(lr=0.1)
+        opt = AdamW(OptimizerConfig(lr=0.1))
         opt.step({"w": w}, {"w": np.array([1.0])})
         first = w[0]
         opt.step({"w": w}, {"w": np.array([0.0])})
@@ -160,7 +160,7 @@ class TestSurgery:
     # a rank change leaves the factors without state ("a.lam", "a.q") alone.
     def make_stateful(self, rng):
         p = rng.standard_normal((4, 3))
-        opt = AdamW(lr=0.01)
+        opt = AdamW(OptimizerConfig(lr=0.01))
         for _ in range(3):
             opt.step({"a.p": p}, {"a.p": rng.standard_normal((4, 3))})
         return p, opt
@@ -184,13 +184,13 @@ class TestSurgery:
         assert not m1[:, 3].any()
 
     def test_surgery_on_unseen_name_is_noop(self):
-        opt = AdamW()
+        opt = AdamW(OptimizerConfig())
         opt.sync_rank_change(rank_event("prune", 0, "ghost"), axes("ghost"))
         opt.sync_rank_change(rank_event("expand", 3, "ghost"), axes("ghost"))
         assert opt.state == {}
 
     def test_sync_rank_change_prune(self, rng):
-        opt = AdamW(lr=0.01)
+        opt = AdamW(OptimizerConfig(lr=0.01))
         arrays = {"a.p": rng.standard_normal((4, 3)),
                   "a.lam": rng.standard_normal(3),
                   "a.q": rng.standard_normal((3, 5))}
@@ -209,7 +209,7 @@ class TestSurgery:
                               np.delete(saved["a.q"], 1, axis=0))
 
     def test_sync_rank_change_expand(self, rng):
-        opt = AdamW(lr=0.01)
+        opt = AdamW(OptimizerConfig(lr=0.01))
         arrays = {"a.p": rng.standard_normal((4, 3)),
                   "a.lam": rng.standard_normal(3),
                   "a.q": rng.standard_normal((3, 5))}
@@ -226,7 +226,7 @@ class TestSurgery:
     def test_surviving_directions_keep_state_through_cycle(self, rng):
         # Prune then expand at the same width: untouched slices must carry
         # their accumulated moments across the surgery.
-        opt = AdamW(lr=0.01)
+        opt = AdamW(OptimizerConfig(lr=0.01))
         p = rng.standard_normal((4, 3))
         opt.step({"a.p": p}, {"a.p": rng.standard_normal((4, 3))})
         kept = opt.state["a.p"]["m"][:, [0, 2]].copy()
@@ -244,21 +244,22 @@ class PerArrayAdamW(AdamW):
 
     def step(self, params, grads, no_decay=()):
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        c = self.config
+        bc1 = 1.0 - c.beta1**self.t
+        bc2 = 1.0 - c.beta2**self.t
         for name in sorted(params):
             p = params[name]
             g = np.asarray(grads[name], dtype=np.float64)
             st = self.state.setdefault(name, {"m": np.zeros_like(p), "v": np.zeros_like(p)})
             m, v = st["m"], st["v"]
             assert m.shape == p.shape
-            if self.weight_decay > 0.0 and name not in no_decay:
-                p -= self.lr * self.weight_decay * p
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if c.weight_decay > 0.0 and name not in no_decay:
+                p -= c.lr * c.weight_decay * p
+            m *= c.beta1
+            m += (1.0 - c.beta1) * g
+            v *= c.beta2
+            v += (1.0 - c.beta2) * (g * g)
+            p -= c.lr * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
 
 
 def bits(a):
@@ -268,7 +269,7 @@ def bits(a):
 class TestFlatBuffersMatchPerArray:
     def test_bitwise_through_surgery_and_a_late_name(self, rng):
         kw = dict(lr=0.05, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
-        opts = (AdamW(**kw), PerArrayAdamW(**kw))
+        opts = (AdamW(OptimizerConfig(**kw)), PerArrayAdamW(OptimizerConfig(**kw)))
         init = {"a.p": rng.standard_normal((4, 3)), "a.lam": rng.standard_normal(3),
                 "a.q": rng.standard_normal((3, 5)), "layer0.bias": rng.standard_normal(4)}
         runs = [{k: v.copy() for k, v in init.items()} for _ in opts]

@@ -159,6 +159,16 @@ class TestReadErrors:
         with pytest.raises(TraceError, match="line 1: empty trace"):
             read_trace(path)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_blank_lines_and_line_ends_keep_line_numbers(self, tmp_path, newline):
+        lines = trace_lines(make_header(), good_events())
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(newline.join([lines[0], "", "  ", *lines[1:]]).encode() + b"\n")
+        assert read_trace(path)[1] == good_events()
+        path.write_bytes(newline.join([lines[0], "", "  ", *lines[1:], "{x"]).encode())
+        with pytest.raises(TraceError, match="^line 8: invalid JSON"):
+            read_trace(path)
+
     def test_invalid_json_names_line(self, tmp_path):
         lines = trace_lines(make_header(), [])
         path = self.write_lines(tmp_path, lines + ["{not json"])

@@ -11,10 +11,10 @@ from rankflex.errors import ParameterError
 from rankflex.importance import MetricKind
 from rankflex.linalg import split_rng
 from rankflex.model import AdapterSpec, LayerSpec, ToyModel
+from rankflex.optim import OptimizerConfig
 from rankflex.tasks import SyntheticTask
 from rankflex.trace import trace_lines, verify_trace
 from rankflex.training import (
-    OptimizerConfig,
     TrainConfig,
     metrics_csv_lines,
     run_training,
