@@ -285,6 +285,3 @@ def main(argv=None):
         print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

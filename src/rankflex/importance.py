@@ -11,14 +11,15 @@ by exponential moving averages.
 All spectrum metrics accept any finite 1-D array of signed values, since
 training-time spectra routinely go negative. The entropy and the norms depend
 only on magnitudes; the two hybrids weight by the signed values, so negating
-a spectrum negates their scores. Scale invariance holds for
-spectral_entropy exactly (the energy distribution is unchanged under
-lambda -> c*lambda).
+a spectrum negates their scores. The energy is rescaled by max|lambda| only
+where squaring would overflow or round the spectrum away, so spectral_entropy
+is scale-invariant, and frobenius scales, across the whole float64 range.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,11 +108,22 @@ def _values(lam):
     return v
 
 
-def energy_distribution(lam):
-    """Normalized squared magnitudes: s_i = lam_i^2 / sum_j lam_j^2."""
-    v = _values(lam)
+@np.errstate(over="ignore")
+def _squares(v):
+    """``(e, total, m)``: the squares of ``v / m`` and their sum; m is max|v| if
+    the direct sum overflows or, with v nonzero, is not normal, else 1.0."""
     e = v * v
     total = float(np.sum(e))
+    if math.isfinite(total) and (total >= sys.float_info.min or not np.any(v)):
+        return e, total, 1.0
+    m = float(np.max(np.abs(v)))
+    e = (v / m) * (v / m)
+    return e, float(np.sum(e)), m
+
+
+def energy_distribution(lam):
+    """Normalized squared magnitudes: s_i = lam_i^2 / sum_j lam_j^2."""
+    e, total, _ = _squares(_values(lam))
     if total == 0.0:
         raise DegenerateSpectrumError("all singular values are zero")
     return e / total
@@ -156,7 +168,8 @@ def nuclear_mean(lam):
 def frobenius_mean(lam):
     """Root of summed squared singular values, divided by the count."""
     v = _values(lam)
-    return float(np.sqrt(np.sum(v * v))) / v.size
+    _, total, m = _squares(v)
+    return m * (math.sqrt(total) / v.size)
 
 
 def elem_energy_entropy(lam, epsilon=EPSILON_DEFAULT):

@@ -31,7 +31,6 @@ __all__ = [
     "TASK_KINDS",
     "SyntheticTask",
     "TeacherNet",
-    "Dataset",
     "check_teacher_ranks",
     "build_teacher",
     "sample_regression",
@@ -86,17 +85,6 @@ class TeacherNet:
         return h
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Inputs (d_in x n) plus targets (d_out x n for regression, n labels for
-    classification), one example per column. The samplers return row-major
-    arrays; ``run_training`` keeps column-major copies, so that a batch
-    gathers whole columns."""
-
-    inputs: np.ndarray
-    targets: np.ndarray
-
-
 def _rank_k_delta(d_out, d_in, k, scale, rng):
     # Sum of k outer products of orthonormal factor pairs: exactly k singular
     # values, all equal to scale / sqrt(k). A sum of free Gaussian outer
@@ -147,7 +135,7 @@ def build_teacher(model, task, rng):
 
 
 def sample_regression(teacher, task, rng, sample_count=None, noise_std=None):
-    """Draw inputs ~ N(0, I) and teacher targets with optional noise.
+    """``(inputs, targets)``, one example per column: N(0, I) inputs, teacher outputs plus noise.
 
     ``sample_count`` and ``noise_std`` default to the task's values; pass
     explicit ones to build held-out or noiseless evaluation sets against the
@@ -163,11 +151,11 @@ def sample_regression(teacher, task, rng, sample_count=None, noise_std=None):
     y = teacher.forward(x)
     if std > 0.0:
         y = y + std * rng.standard_normal(y.shape)
-    return Dataset(inputs=x, targets=y)
+    return x, y
 
 
 def sample_blobs(task, rng):
-    """Two Gaussian clusters at +-separation/2 along a random direction."""
+    """``(inputs, labels)``: two Gaussian clusters at +-separation/2 on a random axis."""
     n = task.sample_count
     direction = rng.standard_normal(task.input_dim)
     direction /= np.linalg.norm(direction)
@@ -175,5 +163,5 @@ def sample_blobs(task, rng):
     labels = rng.integers(0, 2, size=n)
     signs = np.where(labels == 0, -1.0, 1.0)
     x = rng.standard_normal((task.input_dim, n)) + center[:, None] * signs[None, :]
-    return Dataset(inputs=x, targets=labels.astype(np.int64))
+    return x, labels.astype(np.int64)
 

@@ -4,15 +4,15 @@ A trace is line-delimited JSON: one header record (seed, config hash,
 schedule, adapter roster), zero or more event records in application order,
 and at most one trailing abort record. Keys are sorted and separators fixed,
 so identical runs serialize to identical bytes. This module owns every
-record's JSON form, the allocator's ``AllocationEvent`` included; each
-non-blank line read back is one record, which must have the JSON types
-written and pass the event's own checks.
-
-``verify_trace`` replays the bookkeeping from scratch — rank bounds, step
-legality against the schedule, per-step budget caps, mode conformance,
+record's JSON form, the allocator's ``AllocationEvent`` included.
+``read_trace`` alone checks what a record says about itself: each non-blank
+line is one record holding every field of its type's table, with the JSON
+type written, and an event must agree with itself and name a roster adapter.
+``verify_trace`` replays the bookkeeping of what it returns — rank bounds,
+step legality against the schedule, per-step budget caps, mode conformance,
 exact rank conservation in bidirectional mode, and an abort step inside the
 run and after every event — and reports every violation with its line
-context.
+context; ``heatmap_csv_lines`` only pivots it.
 """
 
 from __future__ import annotations
@@ -34,19 +34,6 @@ __all__ = [
 
 TRACE_VERSION = 1
 
-# Value checks of the header's and the abort record's fields, where present.
-_HEADER_VALUES = {
-    "version": lambda v: type(v) is int and v == TRACE_VERSION,
-    "seed": lambda v: type(v) is int,
-    "mode": lambda v: v in ALLOCATOR_MODES,
-    "metric": lambda v: v in METRIC_VARIANTS,
-}
-_ABORT_VALUES = {
-    "step": lambda v: type(v) is int,
-    "reason": lambda v: isinstance(v, str),
-    "loss": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-}
-
 # (field, JSON types) of an event as ``_event_json`` writes them: ``detail``
 # is a number for a prune, a string for an expand. Exact type tests keep
 # bool (an int) out.
@@ -67,12 +54,13 @@ def _event_json(e):
     return {"type": "event", **vars(e), "score": None if math.isnan(e.score) else float(e.score)}
 
 
-def _event_from_json(obj):
-    """Inverse of ``_event_json``: each field must have the JSON type that
-    it writes, or ParameterError names the field."""
+def _event_from_json(obj, ids):
+    """Inverse of ``_event_json``; ParameterError names an ill-typed field or an unknown id."""
     for key, types in _EXPAND_TYPES if obj["action"] == "expand" else _PRUNE_TYPES:
         if type(obj[key]) not in types:
             raise ParameterError(f"{key} {obj[key]!r} has type {type(obj[key]).__name__}")
+    if obj["adapter_id"] not in ids:
+        raise ParameterError(f"unknown adapter {obj['adapter_id']!r}")
     score = obj["score"]
     return AllocationEvent(obj["step"], obj["adapter_id"], obj["action"], obj["rank_before"],
                            obj["rank_after"], math.nan if score is None else float(score),
@@ -87,33 +75,61 @@ def trace_lines(header, events, abort=None):
     return lines
 
 
-def _header_schedule(header):
-    values = {f.name: header["schedule"][f.name] for f in fields(BudgetSchedule)}
-    for name, value in values.items():
-        if type(value) is not int:
-            raise TraceError(f"{name} {value!r} has type {type(value).__name__}")
-    return BudgetSchedule(**values)
+def _header_schedule(schedule):
+    try:
+        values = {f.name: schedule[f.name] for f in fields(BudgetSchedule)}
+        for name, value in values.items():
+            if type(value) is not int:
+                raise ParameterError(f"{name} {value!r} has type {type(value).__name__}")
+        return BudgetSchedule(**values)
+    except Exception as exc:
+        raise TraceError(f"bad schedule ({exc})") from None
 
 
 def _is_roster(adapters):
-    return isinstance(adapters, list) and all(
-        isinstance(a, dict) and isinstance(a.get("id"), str)
-        and all(type(a.get(k)) is int for k in ("r_init", "r_max", "depth"))
-        for a in adapters)
+    if not (isinstance(adapters, list) and all(
+            isinstance(a, dict) and isinstance(a.get("id"), str)
+            and all(type(a.get(k)) is int for k in ("r_init", "r_max", "depth"))
+            and 1 <= a["r_init"] <= a["r_max"] for a in adapters)
+            and len({a["id"] for a in adapters}) == len(adapters)):
+        raise TraceError("header adapters must be a list of objects with distinct string ids, "
+                         "integer r_init, r_max and depth, and 1 <= r_init <= r_max")
+    return True
 
 
-def _check_values(obj, checks, record, lineno):
-    for key, ok in checks.items():
-        if key in obj and not ok(obj[key]):
+# Every field a record must hold, with its check: False or TraceError if bad.
+_HEADER = {
+    "version": lambda v: type(v) is int and v == TRACE_VERSION,
+    "seed": lambda v: type(v) is int,
+    "mode": lambda v: v in ALLOCATOR_MODES,
+    "metric": lambda v: v in METRIC_VARIANTS,
+    "adapters": _is_roster,
+    "schedule": _header_schedule,
+}
+_ABORT = {
+    "step": lambda v: type(v) is int,
+    "reason": lambda v: isinstance(v, str),
+    "loss": lambda v: type(v) in _NUMBER,
+}
+
+
+def _check_record(obj, table, record, lineno):
+    for key, check in table.items():
+        if key not in obj:
+            raise TraceError(f"line {lineno}: {record} missing {key!r}")
+        try:
+            good = check(obj[key])
+        except TraceError as exc:
+            raise TraceError(f"line {lineno}: {exc}") from None
+        if not good:
             raise TraceError(f"line {lineno}: bad {record} {key} {obj[key]!r}")
 
 
 def read_trace(path):
     """Parse a trace file, read line by line, into (header, events, abort-or-None).
 
-    Structural problems, fields of the wrong type, an event that contradicts
-    itself and an unknown version, mode or metric raise TraceError naming
-    the offending line (1-based).
+    Structural problems, and a record that fails its table, the roster rule
+    or the event's checks, raise TraceError naming the offending line (1-based).
     """
     header = None
     events = []
@@ -127,36 +143,25 @@ def read_trace(path):
             if not isinstance(obj, dict) or "type" not in obj:
                 raise TraceError(f"line {lineno}: record has no type")
             kind = obj["type"]
+            if kind in ("event", "abort") and header is None:
+                raise TraceError(f"line {lineno}: {kind} before header")
             if kind == "header":
                 if header is not None:
                     raise TraceError(f"line {lineno}: duplicate header")
-                for key in ("version", "seed", "mode", "metric", "schedule", "adapters"):
-                    if key not in obj:
-                        raise TraceError(f"line {lineno}: header missing {key!r}")
-                _check_values(obj, _HEADER_VALUES, "header", lineno)
-                if not _is_roster(obj["adapters"]):
-                    raise TraceError(f"line {lineno}: header adapters must be a list of objects "
-                                     "with a string id and integer r_init, r_max and depth")
-                try:
-                    _header_schedule(obj)
-                except Exception as exc:
-                    raise TraceError(f"line {lineno}: bad schedule ({exc})") from None
+                _check_record(obj, _HEADER, "header", lineno)
                 header = obj
+                ids = {a["id"] for a in obj["adapters"]}
             elif kind == "event":
-                if header is None:
-                    raise TraceError(f"line {lineno}: event before header")
                 if abort is not None:
                     raise TraceError(f"line {lineno}: event after abort record")
                 try:
-                    events.append(_event_from_json(obj))
+                    events.append(_event_from_json(obj, ids))
                 except Exception as exc:
                     raise TraceError(f"line {lineno}: bad event ({exc})") from None
             elif kind == "abort":
-                if header is None:
-                    raise TraceError(f"line {lineno}: abort before header")
                 if abort is not None:
                     raise TraceError(f"line {lineno}: duplicate abort record")
-                _check_values(obj, _ABORT_VALUES, "abort record", lineno)
+                _check_record(obj, _ABORT, "abort record", lineno)
                 abort = obj
             else:
                 raise TraceError(f"line {lineno}: unknown record type {kind!r}")
@@ -166,20 +171,13 @@ def read_trace(path):
 
 
 def verify_trace(header, events, abort=None):
-    """Replay a trace's bookkeeping; returns a list of problem strings."""
+    """Replay the bookkeeping of a trace as ``read_trace`` returns it, whose
+    records have passed their own checks; returns a list of problem strings."""
     problems = []
-    schedule = _header_schedule(header)
+    schedule = _header_schedule(header["schedule"])
     mode = header["mode"]
-    ranks = {}
-    caps = {}
-    for meta in header["adapters"]:
-        aid = meta["id"]
-        if aid in ranks:
-            problems.append(f"header: duplicate adapter {aid!r}")
-        ranks[aid] = int(meta["r_init"])
-        caps[aid] = int(meta["r_max"])
-        if not 1 <= ranks[aid] <= caps[aid]:
-            problems.append(f"header: adapter {aid!r} r_init outside [1, r_max]")
+    ranks = {meta["id"]: meta["r_init"] for meta in header["adapters"]}
+    caps = {meta["id"]: meta["r_max"] for meta in header["adapters"]}
 
     by_step = {}
     last_step = None
@@ -195,9 +193,6 @@ def verify_trace(header, events, abort=None):
             expand_seen = True
         elif expand_seen:
             problems.append(f"{where}: prune after expand within one step")
-        if e.adapter_id not in ranks:
-            problems.append(f"{where}: unknown adapter")
-            continue
         if not schedule.is_allocation_step(e.step):
             problems.append(f"{where}: not an allocation step")
         if e.rank_before != ranks[e.adapter_id]:
@@ -228,25 +223,22 @@ def verify_trace(header, events, abort=None):
                 f"({counts['prune']} prunes, {counts['expand']} expands)"
             )
     if abort is not None:
-        for key in ("step", "reason"):
-            if key not in abort:
-                problems.append(f"abort record missing {key!r}")
         # A run aborts at the top of its step, before that step allocates.
-        step = abort.get("step")
-        if step is not None and not 0 <= step < schedule.total_steps:
+        step = abort["step"]
+        if not 0 <= step < schedule.total_steps:
             problems.append(f"abort step {step} outside [0, {schedule.total_steps})")
         last = max((e.step for e in events), default=None)
-        if step is not None and last is not None and last >= step:
+        if last is not None and last >= step:
             problems.append(f"abort step {step} not after the last event's step {last}")
     return problems
 
 
 def heatmap_csv_lines(header, events):
-    """Pivot a trace into a rank-over-time CSV: one row per adapter in depth
-    order, holding its id, its initial rank (column "init") and its rank
-    after each step that saw an event (one column per such step)."""
+    """Pivot a trace as ``read_trace`` returns it into a rank-over-time CSV:
+    one row per adapter in depth order, holding its id, its initial rank
+    (column "init") and its rank after each step that saw an event."""
     meta = sorted(header["adapters"], key=lambda m: m["depth"])
-    ranks = {m["id"]: int(m["r_init"]) for m in meta}
+    ranks = {m["id"]: m["r_init"] for m in meta}
     rows = [[m["id"], str(ranks[m["id"]])] for m in meta]
     by_step = {}
     for e in events:
@@ -254,8 +246,6 @@ def heatmap_csv_lines(header, events):
     steps = sorted(by_step)
     for step in steps:
         for e in by_step[step]:
-            if e.adapter_id not in ranks:
-                raise TraceError(f"event for unknown adapter {e.adapter_id!r}")
             ranks[e.adapter_id] = e.rank_after
         for row in rows:
             row.append(str(ranks[row[0]]))

@@ -5,21 +5,21 @@ independent streams (model init, task/teacher, batch sampling, expansion
 vectors) via SeedSequence spawning, so identical configs produce
 byte-identical traces, metrics, and checkpoints.
 
-The tasks sample the data set row-major; set-up keeps column-major copies
-of its inputs and targets instead, made one at a time and dropping each
-original, so a batch gathers whole columns. The gathered batch has the same
-values and strides either way, so the GEMMs round identically.
+The samplers return ``(inputs, targets)`` row-major; set-up keeps
+column-major copies instead, made one at a time and dropping each original,
+so a batch gathers whole columns. The gathered batch has the same values and
+strides either way, so the GEMMs round identically.
 
 Step order: sample batch, forward (which leaves Q @ x for adapters whose
 every lam is live), loss, divergence check, backward (ending with the first
 linear layer's parameter gradients), sensitivity EMA update (when that
 metric is active), the step of the AdamW that ``config.optimizer``
 configures, then — at allocation steps with nonzero budget — score, select,
-apply, and sync the optimizer state to the new ranks. The loop runs with
-numpy's overflow and invalid-value warnings off: a diverging run reports
-itself through its abort record. The name-keyed parameter dict handed to
-the optimizer is collected before the first step and again after each such
-allocation step, the only place where arrays are replaced.
+apply, and sync the optimizer state to the new ranks. The whole run, set-up
+included, has numpy's overflow and invalid-value warnings off: the abort
+record or the set-up error reports an overflow. The name-keyed parameter
+dict handed to the optimizer is collected before the first step and again
+after each such allocation step, the only place where arrays are replaced.
 The result keeps the teacher for held-out evaluation but not the training
 data set, which is freed when the run returns.
 """
@@ -206,6 +206,7 @@ def _params_and_no_decay(model):
     return params, frozenset(k for k in params if k.endswith(".bias"))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_training(config):
     """Execute one run; returns a TrainResult.
 
@@ -219,12 +220,10 @@ def run_training(config):
     teacher = None
     if config.task.kind == "low_rank_teacher":
         teacher = build_teacher(model, config.task, task_rng)
-        dataset = sample_regression(teacher, config.task, task_rng)
+        inputs, targets = sample_regression(teacher, config.task, task_rng)
     else:
-        dataset = sample_blobs(config.task, task_rng)
+        inputs, targets = sample_blobs(config.task, task_rng)
     # Column-major copies, one array at a time, so the data is never held twice.
-    inputs, targets = dataset.inputs, dataset.targets
-    del dataset
     inputs = np.asfortranarray(inputs)
     targets = np.asfortranarray(targets)
 
@@ -245,48 +244,45 @@ def run_training(config):
     axes = {a.id: {name: axis for name, _, axis in a.factors()} for a in adapters}
     abort = None
 
-    # A diverging run overflows before its loss check sees it; the abort
-    # record reports that, so numpy's warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(schedule.total_steps):
-            cols = batch_rng.integers(0, n, size=config.batch_size)
-            x = inputs[:, cols]
-            y_true = targets[:, cols] if targets.ndim == 2 else targets[cols]
+    for t in range(schedule.total_steps):
+        cols = batch_rng.integers(0, n, size=config.batch_size)
+        x = inputs[:, cols]
+        y_true = targets[:, cols] if targets.ndim == 2 else targets[cols]
 
-            y, caches = model.forward(x)
-            loss, grad_out = model.loss_and_grad(y, y_true)
-            if initial_loss is None:
-                initial_loss = loss
-            if not np.isfinite(loss) or loss > DIVERGENCE_FACTOR * max(abs(initial_loss), 1e-12):
-                abort = {"type": "abort", "step": t, "reason": "divergence", "loss": loss}
-                break
+        y, caches = model.forward(x)
+        loss, grad_out = model.loss_and_grad(y, y_true)
+        if initial_loss is None:
+            initial_loss = loss
+        if not np.isfinite(loss) or loss > DIVERGENCE_FACTOR * max(abs(initial_loss), 1e-12):
+            abort = {"type": "abort", "step": t, "reason": "divergence", "loss": loss}
+            break
 
-            grads = model.backward(caches, grad_out, gamma)
-            if use_sensitivity:
-                for a in adapters:
-                    names, arrays, _ = zip(*a.factors())
-                    states[a.id] = sensitivity_update(
-                        states[a.id], arrays, [grads[name] for name in names],
-                        config.metric.beta1, config.metric.beta2)
-            optimizer.step(params, grads, no_decay=no_decay)
+        grads = model.backward(caches, grad_out, gamma)
+        if use_sensitivity:
+            for a in adapters:
+                names, arrays, _ = zip(*a.factors())
+                states[a.id] = sensitivity_update(
+                    states[a.id], arrays, [grads[name] for name in names],
+                    config.metric.beta1, config.metric.beta2)
+        optimizer.step(params, grads, no_decay=no_decay)
 
-            if adapters and schedule.is_allocation_step(t):
-                b = schedule.budget(t)
-                if b > 0:
-                    scores = score_all(adapters, config.metric, states)
-                    prune_ids, expand_ids = select_candidates(scores, adapters, b, config.mode)
-                    if prune_ids or expand_ids:
-                        step_events = apply_allocation(
-                            adapters, prune_ids, expand_ids, config.init_strategy,
-                            alloc_rng, step=t, scores=scores,
-                        )
-                        for event in step_events:
-                            optimizer.sync_rank_change(event, axes[event.adapter_id])
-                        events.extend(step_events)
-                    params, no_decay = _params_and_no_decay(model)
+        if adapters and schedule.is_allocation_step(t):
+            b = schedule.budget(t)
+            if b > 0:
+                scores = score_all(adapters, config.metric, states)
+                prune_ids, expand_ids = select_candidates(scores, adapters, b, config.mode)
+                if prune_ids or expand_ids:
+                    step_events = apply_allocation(
+                        adapters, prune_ids, expand_ids, config.init_strategy,
+                        alloc_rng, step=t, scores=scores,
+                    )
+                    for event in step_events:
+                        optimizer.sync_rank_change(event, axes[event.adapter_id])
+                    events.extend(step_events)
+                params, no_decay = _params_and_no_decay(model)
 
-            if t % config.log_every == 0 or t == schedule.total_steps - 1:
-                metrics.append(_metrics_row(t, loss, model))
+        if t % config.log_every == 0 or t == schedule.total_steps - 1:
+            metrics.append(_metrics_row(t, loss, model))
 
     return TrainResult(model=model, header=header, events=events, metrics=metrics,
                        final_loss=loss, teacher=teacher, abort=abort)

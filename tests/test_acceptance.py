@@ -319,10 +319,10 @@ def _allocation_config(seed, mode):
 
 def _holdout_loss(result, task):
     rng = np.random.default_rng(987654321)
-    ds = sample_regression(result.teacher, task, rng, sample_count=4096,
-                           noise_std=0.0)
-    y, _ = result.model.forward(ds.inputs)
-    return mse_loss(y, ds.targets)[0]
+    x, targets = sample_regression(result.teacher, task, rng, sample_count=4096,
+                                   noise_std=0.0)
+    y, _ = result.model.forward(x)
+    return mse_loss(y, targets)[0]
 
 
 def test_criterion_9_ranks_follow_intrinsic_rank():

@@ -62,6 +62,15 @@ class TestConstruction:
             SvdAdapter("a", np.zeros((3, 3)), [0.0] * 3, np.zeros((3, 3)),
                        r_init=1, r_max=2, alpha=1.0)
 
+    def test_r_init_at_least_one(self):
+        with pytest.raises(ParameterError, match="^r_init must be >= 1$"):
+            SvdAdapter("a", np.zeros((3, 1)), [0.0], np.zeros((1, 3)),
+                       r_init=0, r_max=2, alpha=1.0)
+
+    def test_gauss_std_positive(self):
+        with pytest.raises(ParameterError, match="^gauss_std must be positive$"):
+            InitStrategy(gauss_std=0)
+
     def test_alpha_positive_finite(self):
         for alpha in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ParameterError):

@@ -260,6 +260,13 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="malformed adapter header"):
             parse_checkpoint_lines(lines)
 
+    def test_non_numeric_adapter_dims(self):
+        lines = self.lines()
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("dims "))
+        lines[i] = "dims a b"
+        with pytest.raises(ParseError, match=f"^line {i + 1}: malformed adapter header$"):
+            parse_checkpoint_lines(lines)
+
 
 class TestVersion1:
     def test_fixture_is_version_1(self):

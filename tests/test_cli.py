@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -206,11 +207,25 @@ class TestTrain:
         cfg = write_config(tmp_path, DESK)
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         done = subprocess.run(
-            [sys.executable, "-m", "rankflex.cli", "train", cfg, "optimizer.lr=1e300",
+            [sys.executable, "-m", "rankflex", "train", cfg, "optimizer.lr=1e300",
              f"output_dir={tmp_path / 'out'}"],
             env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 3
         assert done.stderr == "diverged: loss nan at step 1\n"
+
+    def test_overflowing_init_prints_only_its_error(self, tmp_path):
+        # Set-up runs with numpy's overflow warnings off too: the init's
+        # non-finite draw is reported once, by the adapter's own check.
+        from test_golden import DESK
+
+        cfg = write_config(tmp_path, DESK)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "rankflex", "train", cfg, "init_strategy.gauss_std=1e308",
+             f"output_dir={tmp_path / 'out'}"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert done.stderr == "error: P contains non-finite entries\n"
 
     def test_write_failing_mid_stream_keeps_the_old_artifact(self, tmp_path, monkeypatch,
                                                              capsys):
@@ -259,6 +274,20 @@ class TestTrain:
         assert main(["train", cfg]) == 1
         assert "locked" in capsys.readouterr().err
         assert not (outdir / "trace.jsonl").exists()
+
+    @pytest.mark.parametrize("content", ["", "garbage\n", "pid x\n"],
+                             ids=["empty", "no-pid", "non-numeric-pid"])
+    def test_unreadable_lock_is_reported_as_held(self, tmp_path, monkeypatch, capsys, content):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        lock = tmp_path / "runs" / "cliunit" / ".lock"
+        lock.parent.mkdir(parents=True)
+        lock.write_text(content)
+        assert main(["train", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: output directory is locked by another run: "
+                       f"{os.path.join('runs', 'cliunit', '.lock')}\n")
+        assert lock.read_text() == content
 
     def test_stale_lock_reported_not_removed(self, tmp_path, monkeypatch,
                                              capsys):
@@ -384,6 +413,23 @@ class TestImportance:
         ]
         assert lines[0].startswith("spectral_entropy 0.721928094884")
         assert lines[1] == "nuclear 1.50000000000"
+
+    @pytest.mark.parametrize("text, entropy, frobenius", [
+        ("1e200,1e200\n", "0.999999999997", "7.07106781187e+199"),
+        ("1e-170,2e-170\n", "0.721928094884", "1.11803398875e-170"),
+    ], ids=["squares-overflow", "squares-underflow"])
+    def test_spectrum_at_the_float64_extremes(self, tmp_path, capsys, text, entropy, frobenius):
+        # A uniform spectrum scores 1 (less epsilon's share) and [2, 1] about
+        # 0.7219 at any scale; squaring past the float64 range warns nothing.
+        path = self.write_spectrum(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["importance", path]) == 0
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert lines[0] == f"spectral_entropy {entropy}"
+        assert lines[2] == f"frobenius {frobenius}"
+        assert err == ""
 
     def test_degenerate_flagged(self, tmp_path, capsys):
         path = self.write_spectrum(tmp_path, "0,0\n")
@@ -648,7 +694,7 @@ class TestReplayVerify:
     def test_abort_before_an_event_fails(self, trained_dir, capsys):
         trace = trained_dir / "trace.jsonl"
         first_step = json.loads(trace.read_text().splitlines()[1])["step"]
-        abort = {"type": "abort", "step": first_step, "reason": "divergence"}
+        abort = {"type": "abort", "step": first_step, "reason": "divergence", "loss": 1e30}
         with trace.open("a") as fh:
             fh.write(json.dumps(abort) + "\n")
         assert main(["replay-verify", str(trace)]) == 1
@@ -709,6 +755,38 @@ class TestTraceFieldTypes:
             out, err = capsys.readouterr()
             assert f"trace error: line {line + 1}: bad" in err
             assert key in err
+            assert out == ""
+
+
+def _set_roster(records, i, key, value):
+    records[0]["adapters"][i][key] = value
+
+
+class TestRecordRules:
+    """A roster with a repeated id or an r_init outside [1, r_max], an event
+    naming an adapter outside the roster and an abort record missing a field
+    are bad traces for both commands, reported with their line."""
+
+    @pytest.mark.parametrize("line, change, message", [
+        (1, lambda r: _set_roster(r, 1, "id", "enc"), "distinct string ids"),
+        (1, lambda r: _set_roster(r, 0, "r_init", 0), "1 <= r_init <= r_max"),
+        (1, lambda r: _set_roster(r, 1, "r_init", 7), "1 <= r_init <= r_max"),
+        (3, lambda r: r[2].update(adapter_id="ghost"), "bad event (unknown adapter 'ghost')"),
+        (4, lambda r: r[3].pop("step"), "abort record missing 'step'"),
+        (4, lambda r: r[3].pop("reason"), "abort record missing 'reason'"),
+        (4, lambda r: r[3].pop("loss"), "abort record missing 'loss'"),
+    ], ids=["repeated-id", "r_init-0", "r_init-past-r_max", "unknown-adapter",
+            "abort-no-step", "abort-no-reason", "abort-no-loss"])
+    def test_broken_rule_exits_1(self, tmp_path, capsys, line, change, message):
+        records = typed_trace_records()
+        change(records)
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join(map(json.dumps, records)) + "\n")
+        for command in ("replay-verify", "export-heatmap"):
+            assert main([command, str(trace)]) == 1
+            out, err = capsys.readouterr()
+            assert err.startswith(f"trace error: line {line}: ")
+            assert message in err
             assert out == ""
 
 

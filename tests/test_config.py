@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -189,6 +190,13 @@ class TestParse:
         with pytest.raises(ConfigError, match="config.task"):
             parse_config(raw)
 
+    def test_dotted_top_level_key(self):
+        # A flattened "model." key may not stand in for the model section.
+        raw = minimal_config()
+        raw["model.loss"] = "mse"
+        with pytest.raises(ConfigError, match=r"^config\.model\.loss: unknown field$"):
+            parse_config(raw)
+
     def test_non_dict_rejected(self):
         with pytest.raises(ConfigError):
             parse_config([1, 2, 3])
@@ -255,6 +263,21 @@ class TestOverrides:
     def test_scalar_is_not_a_container(self):
         with pytest.raises(ConfigError, match="not a container"):
             apply_overrides(minimal_config(), ["schedule.b0.deeper=1"])
+
+    def test_config_nested_past_the_recursion_limit(self):
+        deep = node = {}
+        for _ in range(sys.getrecursionlimit() + 100):
+            node["a"] = node = {}
+        with pytest.raises(ConfigError, match="^config: nested too deeply to apply overrides$"):
+            apply_overrides(deep, ["seed=1"])
+
+    def test_scalar_leaf_parent(self):
+        with pytest.raises(ConfigError, match="^override 'seed.x': target is not a container$"):
+            apply_overrides({**minimal_config(), "seed": 3}, ["seed.x=1"])
+
+    def test_non_numeric_last_list_index(self):
+        with pytest.raises(ConfigError, match="^override 'model.layers.x': bad list index 'x'$"):
+            apply_overrides(minimal_config(), ["model.layers.x=1"])
 
 
 class TestLoadFile:

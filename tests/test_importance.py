@@ -1,6 +1,8 @@
 import math
+import sys
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -247,6 +249,57 @@ class TestEntropyCoreIdentity:
         assert mat_energy_entropy([2.0, 1.0]) == MAT_2_1
 
 
+def _direct_squares(lam):
+    """The parent's squares and their sum, with its overflow warning off."""
+    v = np.asarray(lam, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        e = v * v
+    return v, e, float(np.sum(e))
+
+
+# Spectra whose every scaled copy by 1e-200..1e200 stays finite and nonzero.
+_SCALABLE = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=1, max_size=13)
+
+
+class TestSpectrumRange:
+    """The energy is rescaled by max|lam| only where the direct sum of squares
+    overflows or, for a nonzero spectrum, is not normal."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(lam=st.lists(_SPECTRUM_VALUES, min_size=1, max_size=13))
+    def test_direct_where_normal_else_exact_shape(self, lam):
+        v, e, total = _direct_squares(lam)
+        frob = frobenius_mean(lam)
+        if math.isfinite(total) and (total >= sys.float_info.min or not np.any(v)):
+            # The parent's formulas, bit for bit.
+            want = np.float64(float(np.sqrt(total)) / v.size)
+            assert np.float64(frob).view(np.uint64) == want.view(np.uint64)
+            if total > 0.0:
+                assert np.array_equal(energy_distribution(lam).view(np.uint64),
+                                      (e / total).view(np.uint64))
+            return
+        # The rescaled energy against 50-digit arithmetic on the exact values
+        # (the oracles read a value's repr, which rounds a subnormal).
+        exact = [mpmath.mpf(x) for x in lam]
+        sq = mpmath.fsum(x * x for x in exact)
+        assert np.allclose(energy_distribution(lam), [float(x * x / sq) for x in exact],
+                           rtol=1e-14, atol=1e-300)
+        assert math.isclose(frob, float(mpmath.sqrt(sq) / len(lam)), rel_tol=1e-14,
+                            abs_tol=1e-323)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), lam=_SCALABLE, exponent=st.floats(-200, 200))
+    def test_sign_flips_permutations_and_scale(self, data, lam, exponent):
+        signs = data.draw(st.lists(st.sampled_from([1.0, -1.0]),
+                                   min_size=len(lam), max_size=len(lam)))
+        moved = np.array(data.draw(st.permutations([s * x for s, x in zip(signs, lam)])))
+        c = 10.0 ** exponent
+        want = spectral_entropy(lam)
+        for other in (moved, c * moved):
+            assert math.isclose(spectral_entropy(other), want, rel_tol=1e-12, abs_tol=1e-14)
+        assert math.isclose(frobenius_mean(c * moved), c * frobenius_mean(lam), rel_tol=1e-12)
+
+
 class TestSensitivity:
     def test_two_step_hand_computation(self):
         st0 = SensitivityState()
@@ -279,6 +332,10 @@ class TestSensitivity:
     def test_count_mismatch(self):
         with pytest.raises(ValueError):
             sensitivity_update(SensitivityState(), [np.ones(3)], [])
+
+    def test_no_arrays(self):
+        with pytest.raises(ParameterError, match="needs at least one parameter"):
+            sensitivity_update(SensitivityState(), [], [])
 
     def test_negative_state_rejected(self):
         with pytest.raises(ParameterError):

@@ -67,6 +67,10 @@ class TestGaussianMatrix:
 
 
 class TestGramSchmidtExtend:
+    def test_basis_must_be_2d(self, rng):
+        with pytest.raises(ShapeError, match="^basis must be 2-D, got ndim=1$"):
+            gram_schmidt_extend(np.ones(4), np.ones(4), rng)
+
     def test_extends_orthonormal_basis(self, rng):
         q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
         v = gram_schmidt_extend(q, rng.standard_normal(8), rng)
@@ -285,6 +289,10 @@ class TestMatrixCsv:
     def test_empty_rejected(self):
         with pytest.raises(ParseError):
             matrix_from_csv_lines([])
+
+    def test_blank_row_rejected(self):
+        with pytest.raises(ParseError, match="^row 1: empty line inside matrix$"):
+            matrix_from_csv_lines(["1.0,2.0", "  ", "3.0,4.0"])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ParseError):

@@ -61,6 +61,10 @@ class TestSpecsAndConstruction:
         with pytest.raises(ParameterError):
             ToyModel([layer], "hinge")
 
+    def test_unsupported_layer_object(self):
+        with pytest.raises(ParameterError, match="unsupported layer object"):
+            ToyModel([LinearLayer(np.eye(2)), object()], "mse")
+
     def test_needs_linear_layer(self):
         with pytest.raises(ParameterError):
             ToyModel([ActivationLayer("tanh")], "mse")
@@ -316,6 +320,12 @@ class TestBackward:
         y, caches = model.forward(x)
         with pytest.raises(StalenessError):
             model.backward(caches[:-1], np.zeros_like(y))
+
+    def test_grad_out_shape_checked(self, rng):
+        model = self.prepared_model(26)
+        y, caches = model.forward(rng.standard_normal((5, 4)))
+        with pytest.raises(ShapeError, match=r"upstream grad shape \(2, 2\) unexpected"):
+            model.backward(caches, np.zeros((2, 2)))
 
     def test_stale_cache_after_rank_change(self, rng):
         model = self.prepared_model(27)

@@ -3,7 +3,7 @@ import pytest
 
 from rankflex import linalg
 from rankflex.adapter import SvdAdapter
-from rankflex.errors import ParameterError
+from rankflex.errors import ParameterError, ShapeError
 from rankflex.model import (
     AdapterSpec,
     LayerSpec,
@@ -132,41 +132,47 @@ class TestBuildTeacher:
             assert np.array_equal(a.layers[depth][1], b.layers[depth][1])
 
 
+    def test_teacher_input_must_be_2d(self):
+        teacher = build_teacher(adapted_model(), teacher_task(), np.random.default_rng(48))
+        with pytest.raises(ShapeError, match="^input batch must be 2-D$"):
+            teacher.forward(np.ones(10))
+
+
 class TestSampling:
     def test_regression_shapes_and_determinism(self):
         model = adapted_model()
         task = teacher_task(n=32)
         teacher = build_teacher(model, task, np.random.default_rng(50))
-        d1 = sample_regression(teacher, task, np.random.default_rng(51))
-        d2 = sample_regression(teacher, task, np.random.default_rng(51))
-        assert d1.inputs.shape == (10, 32)
-        assert d1.targets.shape == (6, 32)
-        assert np.array_equal(d1.inputs, d2.inputs)
-        assert np.array_equal(d1.targets, d2.targets)
+        x1, y1 = sample_regression(teacher, task, np.random.default_rng(51))
+        x2, y2 = sample_regression(teacher, task, np.random.default_rng(51))
+        assert x1.shape == (10, 32)
+        assert y1.shape == (6, 32)
+        assert np.array_equal(x1, x2)
+        assert np.array_equal(y1, y2)
 
     def test_noiseless_targets_equal_teacher_forward(self):
         model = adapted_model()
         task = teacher_task(noise=0.0)
         teacher = build_teacher(model, task, np.random.default_rng(52))
-        data = sample_regression(teacher, task, np.random.default_rng(53))
-        assert np.array_equal(data.targets, teacher.forward(data.inputs))
+        x, y = sample_regression(teacher, task, np.random.default_rng(53))
+        assert np.array_equal(y, teacher.forward(x))
 
     def test_noise_perturbs_targets(self):
         model = adapted_model()
         task = teacher_task(noise=0.1)
         teacher = build_teacher(model, task, np.random.default_rng(54))
-        data = sample_regression(teacher, task, np.random.default_rng(55))
-        resid = data.targets - teacher.forward(data.inputs)
+        x, y = sample_regression(teacher, task, np.random.default_rng(55))
+        resid = y - teacher.forward(x)
         assert 0.05 < float(resid.std()) < 0.2
 
     def test_eval_overrides(self):
         model = adapted_model()
         task = teacher_task(n=32, noise=0.5)
         teacher = build_teacher(model, task, np.random.default_rng(56))
-        heldout = sample_regression(teacher, task, np.random.default_rng(57),
-                                    sample_count=200, noise_std=0.0)
-        assert heldout.inputs.shape == (10, 200)
-        assert np.array_equal(heldout.targets, teacher.forward(heldout.inputs))
+        x, y = sample_regression(teacher, task, np.random.default_rng(57),
+                                 sample_count=200, noise_std=0.0)
+        assert x.shape == (10, 200)
+        assert np.array_equal(y, teacher.forward(x))
         with pytest.raises(ParameterError):
             sample_regression(teacher, task, np.random.default_rng(58), sample_count=0)
         with pytest.raises(ParameterError):
@@ -175,14 +181,14 @@ class TestSampling:
     def test_blobs_shapes_and_separability(self):
         task = SyntheticTask(kind="two_blobs", input_dim=6, sample_count=400,
                              blob_separation=6.0)
-        data = sample_blobs(task, np.random.default_rng(59))
-        assert data.inputs.shape == (6, 400)
-        assert data.targets.shape == (400,)
-        assert data.targets.dtype == np.int64
-        assert set(np.unique(data.targets)) <= {0, 1}
+        x, labels = sample_blobs(task, np.random.default_rng(59))
+        assert x.shape == (6, 400)
+        assert labels.shape == (400,)
+        assert labels.dtype == np.int64
+        assert set(np.unique(labels)) <= {0, 1}
         # Means along the separating direction differ by about the separation.
-        mean0 = data.inputs[:, data.targets == 0].mean(axis=1)
-        mean1 = data.inputs[:, data.targets == 1].mean(axis=1)
+        mean0 = x[:, labels == 0].mean(axis=1)
+        mean1 = x[:, labels == 1].mean(axis=1)
         gap = float(np.linalg.norm(mean1 - mean0))
         assert 4.5 < gap < 7.5
 
@@ -206,9 +212,9 @@ class TestClosableGap:
                            r_init=k, r_max=k + 1, alpha=16.0)
             layers.append(LinearLayer(layer.base_w, bias=layer.bias, adapter=a))
         student = ToyModel(layers, "mse")
-        data = sample_regression(teacher, task, np.random.default_rng(64))
-        y, _ = student.forward(data.inputs)
-        assert float(np.max(np.abs(y - data.targets))) < 1e-10
+        x, targets = sample_regression(teacher, task, np.random.default_rng(64))
+        y, _ = student.forward(x)
+        assert float(np.max(np.abs(y - targets))) < 1e-10
 
     def test_underranked_student_cannot_close_gap(self):
         model = adapted_model(ranks=(2, 3), caps=(6, 6))
@@ -226,6 +232,6 @@ class TestClosableGap:
                            r_init=k, r_max=k + 1, alpha=16.0)
             layers.append(LinearLayer(layer.base_w, bias=layer.bias, adapter=a))
         student = ToyModel(layers, "mse")
-        data = sample_regression(teacher, task, np.random.default_rng(66))
-        y, _ = student.forward(data.inputs)
-        assert float(np.mean((y - data.targets) ** 2)) > 1e-4
+        x, targets = sample_regression(teacher, task, np.random.default_rng(66))
+        y, _ = student.forward(x)
+        assert float(np.mean((y - targets) ** 2)) > 1e-4

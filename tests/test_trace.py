@@ -194,7 +194,7 @@ class TestReadErrors:
 
     def test_event_after_abort(self, tmp_path):
         lines = trace_lines(make_header(), good_events()[:1],
-                            {"type": "abort", "step": 5, "reason": "x"})
+                            {"type": "abort", "step": 5, "reason": "x", "loss": 1.0})
         lines.append(json.dumps(event_json(good_events()[1])))
         path = self.write_lines(tmp_path, lines)
         with pytest.raises(TraceError, match="line 4: event after abort"):
@@ -258,25 +258,51 @@ class TestReadErrors:
         with pytest.raises(TraceError, match="line 2: bad event"):
             read_trace(path)
 
+    def test_unknown_adapter(self, tmp_path):
+        path = self.write_lines(tmp_path, trace_lines(
+            make_header(), good_events()[:1] + [ev(10, "ghost", "expand", 3)]))
+        with pytest.raises(TraceError, match=r"^line 3: bad event \(unknown adapter 'ghost'\)"):
+            read_trace(path)
+
+    def test_duplicate_adapter_in_header(self, tmp_path):
+        adapters = [{"id": "enc", "r_init": 3, "r_max": 6, "depth": 0},
+                    {"id": "enc", "r_init": 2, "r_max": 6, "depth": 2}]
+        path = self.write_lines(tmp_path, trace_lines(make_header(adapters=adapters), []))
+        with pytest.raises(TraceError, match="^line 1: header adapters .* distinct string ids"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("r_init", [0, -1, 7])
+    def test_r_init_bounds_checked(self, tmp_path, r_init):
+        adapters = [{"id": "enc", "r_init": r_init, "r_max": 6, "depth": 0}]
+        path = self.write_lines(tmp_path, trace_lines(make_header(adapters=adapters), []))
+        with pytest.raises(TraceError, match=r"^line 1: header adapters .* 1 <= r_init <= r_max"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("key", ["step", "reason", "loss"])
+    def test_abort_record_fields(self, tmp_path, key):
+        abort = {"type": "abort", "step": 16, "reason": "divergence", "loss": 1e9}
+        del abort[key]
+        path = self.write_lines(tmp_path, trace_lines(make_header(), good_events(), abort))
+        with pytest.raises(TraceError, match=f"^line 6: abort record missing '{key}'$"):
+            read_trace(path)
+
+    def test_abort_before_header(self, tmp_path):
+        abort = {"type": "abort", "step": 16, "reason": "divergence", "loss": 1e9}
+        path = self.write_lines(tmp_path, [json.dumps(abort)] + trace_lines(make_header(), []))
+        with pytest.raises(TraceError, match="^line 1: abort before header$"):
+            read_trace(path)
+
+    def test_duplicate_abort_record(self, tmp_path):
+        abort = {"type": "abort", "step": 16, "reason": "divergence", "loss": 1e9}
+        lines = trace_lines(make_header(), good_events(), abort)
+        path = self.write_lines(tmp_path, lines + [lines[-1]])
+        with pytest.raises(TraceError, match="^line 7: duplicate abort record$"):
+            read_trace(path)
+
 
 class TestVerify:
     def test_clean_trace(self):
         assert verify_trace(make_header(), good_events()) == []
-
-    def test_unknown_adapter(self):
-        problems = verify_trace(make_header(), [ev(10, "ghost", "prune", 3)])
-        assert any("unknown adapter" in p for p in problems)
-
-    def test_duplicate_adapter_in_header(self):
-        adapters = [{"id": "enc", "r_init": 3, "r_max": 6, "depth": 0},
-                    {"id": "enc", "r_init": 2, "r_max": 6, "depth": 2}]
-        problems = verify_trace(make_header(adapters=adapters), [])
-        assert any("duplicate adapter" in p for p in problems)
-
-    def test_r_init_bounds_checked(self):
-        adapters = [{"id": "enc", "r_init": 9, "r_max": 6, "depth": 0}]
-        problems = verify_trace(make_header(adapters=adapters), [])
-        assert any("r_init outside" in p for p in problems)
 
     def test_step_order(self):
         events = [ev(15, "enc", "prune", 3), ev(10, "dec", "prune", 3)]
@@ -327,14 +353,6 @@ class TestVerify:
         problems = verify_trace(make_header(), [ev(10, "enc", "prune", 3)])
         assert any("bidirectional imbalance" in p for p in problems)
 
-    def test_abort_record_fields(self):
-        problems = verify_trace(make_header(), good_events(),
-                                abort={"type": "abort", "step": 16})
-        assert any("abort record missing 'reason'" in p for p in problems)
-        assert verify_trace(make_header(), good_events(),
-                            abort={"type": "abort", "step": 16,
-                                   "reason": "divergence"}) == []
-
     @pytest.mark.parametrize("step, problem", [
         (15, "abort step 15 not after the last event's step 15"),
         (3, "abort step 3 not after the last event's step 15"),
@@ -344,7 +362,7 @@ class TestVerify:
     def test_abort_step_contradicting_the_run(self, step, problem):
         # The run stops at the top of the abort step, before it allocates,
         # so every event lies before it and the step lies inside the run.
-        abort = {"type": "abort", "step": step, "reason": "divergence"}
+        abort = {"type": "abort", "step": step, "reason": "divergence", "loss": 1e9}
         assert problem in verify_trace(make_header(), good_events(), abort)
         assert verify_trace(make_header(), [], {**abort, "step": 0}) == []
         assert verify_trace(make_header(), [], {**abort, "step": 99}) == []
@@ -375,10 +393,6 @@ class TestHeatmap:
             "enc,3,2,3",
             "dec,3,4,3",
         ]
-
-    def test_unknown_adapter_rejected(self):
-        with pytest.raises(TraceError):
-            pivot(make_header(), [ev(10, "ghost", "prune", 3)])
 
     def test_final_column_is_final_rank_state(self):
         events = good_events() + [ev(20, "enc", "prune", 3),

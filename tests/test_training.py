@@ -348,7 +348,7 @@ class TestBatchLayout:
                              **self.SHAPES[shape])
         sampled, batches = [], []
         for name in ("sample_regression", "sample_blobs"):
-            wrap(monkeypatch, name, after=lambda dataset, *_: sampled.append(dataset))
+            wrap(monkeypatch, name, after=lambda data, *_: sampled.append(data))
         forward, loss_and_grad = ToyModel.forward, ToyModel.loss_and_grad
         monkeypatch.setattr(ToyModel, "forward",
                             lambda model, x: (batches.append([x]), forward(model, x))[1])
@@ -356,14 +356,14 @@ class TestBatchLayout:
                             lambda model, y, t: (batches[-1].append(t), loss_and_grad(model, y, t))[1])
         run_training(config)
 
-        (dataset,) = sampled
-        assert dataset.inputs.flags.c_contiguous
+        ((inputs, targets),) = sampled
+        assert inputs.flags.c_contiguous
         batch_rng = split_rng(config.seed, 4)[2]
         assert len(batches) == config.schedule.total_steps
         for x, t in batches:
             cols = batch_rng.integers(0, config.task.sample_count, size=config.batch_size)
-            want_x = dataset.inputs[:, cols]
-            want_t = dataset.targets[:, cols] if dataset.targets.ndim == 2 else dataset.targets[cols]
+            want_x = inputs[:, cols]
+            want_t = targets[:, cols] if targets.ndim == 2 else targets[cols]
             for got, want in ((x, want_x), (t, want_t)):
                 assert got.dtype == want.dtype and got.strides == want.strides
                 assert np.array_equal(got, want)
