@@ -4,6 +4,7 @@ import math
 import pytest
 
 from rankflex.allocator import AllocationEvent
+from rankflex.cli import main
 from rankflex.errors import ParameterError, TraceError
 from rankflex.trace import (
     heatmap_csv_lines,
@@ -15,6 +16,12 @@ from rankflex.trace import (
 
 def write(path, header, events, abort=None):
     path.write_text("\n".join(trace_lines(header, events, abort)) + "\n", encoding="utf-8")
+
+
+def write_ghost(path):
+    """A trace whose second event names an adapter the roster lacks."""
+    write(path, make_header(), good_events()[:1] + [ev(10, "ghost", "expand", 3)])
+    return str(path)
 
 
 def pivot(header, events):
@@ -304,6 +311,13 @@ class TestVerify:
     def test_clean_trace(self):
         assert verify_trace(make_header(), good_events()) == []
 
+    def test_unknown_adapter(self, tmp_path, capsys):
+        # read_trace rejects the event before verify_trace replays anything.
+        assert main(["replay-verify", write_ghost(tmp_path / "t.jsonl")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "trace error: line 3: bad event (unknown adapter 'ghost')\n"
+
     def test_step_order(self):
         events = [ev(15, "enc", "prune", 3), ev(10, "dec", "prune", 3)]
         problems = verify_trace(make_header(mode="prune_only"), events)
@@ -393,6 +407,15 @@ class TestHeatmap:
             "enc,3,2,3",
             "dec,3,4,3",
         ]
+
+    def test_unknown_adapter_rejected(self, tmp_path, capsys):
+        out_csv = tmp_path / "heat.csv"
+        assert main(["export-heatmap", write_ghost(tmp_path / "t.jsonl"),
+                     "--out", str(out_csv)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "trace error: line 3: bad event (unknown adapter 'ghost')\n"
+        assert not out_csv.exists()
 
     def test_final_column_is_final_rank_state(self):
         events = good_events() + [ev(20, "enc", "prune", 3),
