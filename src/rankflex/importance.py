@@ -9,11 +9,11 @@ by the raw singular values, and a gradient-based sensitivity score smoothed
 by exponential moving averages.
 
 All spectrum metrics accept any finite 1-D array of signed values, since
-training-time spectra routinely go negative. The entropy and the norms depend
-only on magnitudes; the two hybrids weight by the signed values, so negating
-a spectrum negates their scores. The energy is rescaled by max|lambda| only
-where squaring would overflow or round the spectrum away, so spectral_entropy
-is scale-invariant, and frobenius scales, across the whole float64 range.
+training-time spectra routinely go negative, and depend only on magnitudes:
+the hybrids weight by |lambda|. The energy is rescaled by max|lambda| only
+where squaring would overflow or round the spectrum away, and a magnitude
+sum only where it would overflow, so across the whole float64 range
+spectral_entropy is scale-invariant and the other four scale with lambda.
 """
 
 from __future__ import annotations
@@ -121,6 +121,17 @@ def _squares(v):
     return e, float(np.sum(e)), m
 
 
+@np.errstate(over="ignore")
+def _rescaled(fn, a):
+    """``fn(a)`` for a map ``fn`` linear in the magnitudes ``a``; only where
+    that is not finite, ``max(a) * fn(a / max(a))``, the scale applied last."""
+    x = fn(a)
+    if math.isfinite(x):
+        return x
+    m = float(np.max(a))
+    return m * fn(a / m)
+
+
 def energy_distribution(lam):
     """Normalized squared magnitudes: s_i = lam_i^2 / sum_j lam_j^2."""
     e, total, _ = _squares(_values(lam))
@@ -161,8 +172,7 @@ def spectral_entropy(lam, epsilon=EPSILON_DEFAULT):
 
 def nuclear_mean(lam):
     """Mean absolute singular value."""
-    v = _values(lam)
-    return float(np.mean(np.abs(v)))
+    return _rescaled(lambda a: float(np.mean(a)), np.abs(_values(lam)))
 
 
 def frobenius_mean(lam):
@@ -173,19 +183,20 @@ def frobenius_mean(lam):
 
 
 def elem_energy_entropy(lam, epsilon=EPSILON_DEFAULT):
-    """Entropy variant weighting each term by its own signed singular value:
-    -sum(lam_i s_i log s_i) / (r log r), so it changes sign with the
-    spectrum. Rank-1 and all-zero spectra score 0.0."""
-    return _entropy(lam, epsilon, 0.0, lambda v, pos, s, log_s:
-                    -float(np.sum(v[pos] * s * log_s)) / (v.size * math.log(v.size)))
+    """Entropy variant weighting each term by its singular value's
+    magnitude: -sum(|lam_i| s_i log s_i) / (r log r). Rank-1 and all-zero
+    spectra score 0.0."""
+    return _entropy(lam, epsilon, 0.0, lambda v, pos, s, log_s: _rescaled(
+        lambda a: -float(np.sum(a * s * log_s)) / (v.size * math.log(v.size)), np.abs(v[pos])))
 
 
 def mat_energy_entropy(lam, epsilon=EPSILON_DEFAULT):
-    """Entropy variant scaling the whole sum by the signed sum of the
-    singular values: -sum(lam) sum(s_i log s_i) / (r log r), so it changes
-    sign with the spectrum. Rank-1 and all-zero spectra score 0.0."""
-    return _entropy(lam, epsilon, 0.0, lambda v, pos, s, log_s:
-                    -float(np.sum(v)) * float(np.sum(s * log_s)) / (v.size * math.log(v.size)))
+    """Entropy variant scaling the whole sum by the singular values' summed
+    magnitudes: -sum(|lam|) sum(s_i log s_i) / (r log r). Rank-1 and
+    all-zero spectra score 0.0."""
+    return _entropy(lam, epsilon, 0.0, lambda v, pos, s, log_s: _rescaled(
+        lambda a: -float(np.sum(a)) * float(np.sum(s * log_s)) / (v.size * math.log(v.size)),
+        np.abs(v)))
 
 
 def sensitivity_update(state, params, grads, beta1=0.85, beta2=0.85):

@@ -200,7 +200,7 @@ class ToyModel:
         }
 
     def trainable_params(self):
-        """Live parameter arrays keyed by name; re-collect after rank surgery."""
+        """Live parameter arrays keyed by name, until rank surgery replaces some."""
         params = {}
         for i, layer in enumerate(self.layers):
             if not isinstance(layer, LinearLayer):

@@ -3,20 +3,18 @@
 A hand-rolled optimizer is used instead of a framework import because rank
 changes must reach into the moment buffers: pruning an adapter direction
 deletes the matching slice of m and v, expansion appends zeros, and every
-untouched direction keeps its accumulated state. The caller names the
-arrays a change touches and their direction axes. Weight decay is decoupled
+untouched direction keeps its accumulated state. Weight decay is decoupled
 (applied directly to the parameter, not through the gradient), runs before
-the moment update, and skips any name passed in ``no_decay``. The
-hyperparameters are stated and range-checked once, in ``OptimizerConfig``.
+the moment update, and skips the names in ``no_decay``. The hyperparameters
+are stated and range-checked once, in ``OptimizerConfig``.
 
-m and v live in two contiguous float64 buffers, one span per parameter in
-sorted-name order; ``state[name]["m"]`` and ``["v"]`` are reshaped views of
-them. A step gathers the gradients into one buffer and updates both moments
-with whole-buffer ufuncs in the per-array operation order, so each element
-is rounded exactly as a per-parameter loop would round it. The buffers are
-re-packed when the ``(name, shape)`` layout of the parameters differs from
-the packed one: on the first step, after ``sync_rank_change`` (which
-replaces a name's views with resized arrays), and when a new name appears.
+The optimizer is bound to the model's name-keyed arrays when built, and by
+``sync_rank_change`` after each allocation step that changed a rank, given
+each changed factor's direction axis. Each binding lays out m and v afresh
+in two float64 buffers, one span per name in sorted-name order, with
+``state[name]["m"]`` and ``["v"]`` as views. A step gathers the gradients
+into one buffer and updates both moments with whole-buffer ufuncs in the
+per-array operation order, so each element rounds as a per-array loop would.
 """
 
 from __future__ import annotations
@@ -54,43 +52,35 @@ class OptimizerConfig:
 
 
 class AdamW:
-    def __init__(self, config):
+    def __init__(self, config, params, no_decay=()):
+        """Bind the name-keyed arrays ``params``, all with zero moments;
+        the names in ``no_decay`` skip weight decay."""
         self.config = config
+        self.no_decay = frozenset(no_decay)
         self.t = 0
-        self.state = {}
-        # The (name, shape) layout the flat buffers were packed for; None
-        # forces a re-pack on the next step.
-        self._layout = None
+        zeros = {name: np.zeros(p.shape) for name, p in params.items()}
+        self._bind(params, zeros, zeros)
 
-    def step(self, params, grads, no_decay=()):
-        """One update, in place, over name-keyed parameter arrays.
-
-        Moment state is created as zeros for a new name; a shape mismatch
-        between a parameter and its state means rank surgery was skipped and
-        is an error rather than a silent reset.
-        """
-        names = sorted(params)
-        ps = [params[name] for name in names]
+    def step(self, grads):
+        """One update, in place, of the bound arrays; ``grads`` holds a
+        gradient of each one's shape, so a rank surgery that was never
+        synced fails here."""
         gs = []
-        for name, p in zip(names, ps):
+        for name, p in zip(self._names, self._params):
             if name not in grads:
                 raise ParameterError(f"missing gradient for parameter {name!r}")
             g = np.asarray(grads[name], dtype=np.float64)
             if g.shape != p.shape:
                 raise ShapeError(f"{name}: grad shape {g.shape} != param shape {p.shape}")
             gs.append(g)
-        layout = tuple((name, p.shape) for name, p in zip(names, ps))
-        if layout != self._layout:
-            self._repack(layout)
         self.t += 1
-        if not ps:
+        if not gs:
             return
         c = self.config
         if c.weight_decay > 0.0:
             decay = c.lr * c.weight_decay
-            for name, p in zip(names, ps):
-                if name not in no_decay:
-                    p -= decay * p
+            for p in self._decayed:
+                p -= decay * p
         # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and
         # upd = lr*(m/bc1) / (sqrt(v/bc2) + eps), written in place into
         # buffers packed with m and v; every product, quotient and sum is the
@@ -109,44 +99,47 @@ class AdamW:
         np.sqrt(den, out=den)
         den += c.eps
         upd /= den
-        for p, u in zip(ps, self._upd_views):
+        for p, u in zip(self._params, self._upd_views):
             p -= u
 
-    def _repack(self, layout):
-        """Copy each name's moments into fresh flat buffers laid out as
-        ``layout``; a new name starts at zero."""
-        spans, end = [], 0
-        for name, shape in layout:
-            st = self.state.get(name)
-            if st is not None and st["m"].shape != shape:
-                raise ShapeError(f"{name}: state shape {st['m'].shape} != param shape {shape}")
-            spans.append((end, end + math.prod(shape), shape))
-            end += math.prod(shape)
-        self._m, self._v = np.zeros(end), np.zeros(end)
-        self._g, self._upd, self._den = np.empty(end), np.empty(end), np.empty(end)
-        for (name, _), (a, b, shape) in zip(layout, spans):
-            views = {"m": self._m[a:b].reshape(shape), "v": self._v[a:b].reshape(shape)}
-            st = self.state.get(name)
-            if st is not None:
-                views["m"][...] = st["m"]
-                views["v"][...] = st["v"]
-            self.state[name] = views
-        self._upd_views = [self._upd[a:b].reshape(shape) for a, b, shape in spans]
-        self._layout = layout
+    def sync_rank_change(self, events, axes, params):
+        """Follow one allocation step's rank changes, then bind ``params``.
 
-    def sync_rank_change(self, event, axes):
-        """Apply one AllocationEvent to the moments of the names in ``axes``,
-        which maps each to its direction axis: a prune deletes the
-        direction's slice, an expansion appends a zero slice. Names without
-        state yet are left alone."""
-        for name, axis in axes.items():
-            st = self.state.get(name)
-            if st is None:
-                continue
-            for key in ("m", "v"):
-                if event.action == "prune":
-                    st[key] = np.delete(st[key], event.index, axis=axis)
-                else:
-                    zero = np.zeros(st[key].shape[:axis] + (1,) + st[key].shape[axis + 1:])
-                    st[key] = np.concatenate([st[key], zero], axis=axis)
-            self._layout = None
+        ``axes`` maps each event's adapter id to {name: direction axis}. In
+        event order, a prune deletes the direction's slice of m and v and an
+        expansion appends a zero slice; the result must match ``params``.
+        """
+        if params.keys() != self.state.keys():
+            raise ParameterError("parameter names changed: "
+                                 f"{sorted(params.keys() ^ self.state.keys())}")
+        m, v = ({name: st[key] for name, st in self.state.items()} for key in ("m", "v"))
+        for event in events:
+            for name, axis in axes[event.adapter_id].items():
+                for moments in (m, v):
+                    a = moments[name]
+                    if event.action == "prune":
+                        moments[name] = np.delete(a, event.index, axis=axis)
+                    else:
+                        zero = np.zeros(a.shape[:axis] + (1,) + a.shape[axis + 1:])
+                        moments[name] = np.concatenate([a, zero], axis=axis)
+        for name, p in params.items():
+            if m[name].shape != p.shape:
+                raise ShapeError(f"{name}: state shape {m[name].shape} != param shape {p.shape}")
+        self._bind(params, m, v)
+
+    def _bind(self, params, m, v):
+        """Bind ``params`` and lay out the flat buffers, one span per name in
+        sorted-name order, holding the moments ``m`` and ``v`` (by name)."""
+        self._names = sorted(params)
+        self._params = [params[name] for name in self._names]
+        self._decayed = [params[name] for name in self._names if name not in self.no_decay]
+        self._m, self._v = (np.concatenate([d[name] for name in self._names] or [np.empty(0)],
+                                           axis=None) for d in (m, v))
+        size = self._m.size
+        self._g, self._upd, self._den = np.empty(size), np.empty(size), np.empty(size)
+        self.state, self._upd_views, end = {}, [], 0
+        for name, p in zip(self._names, self._params):
+            a, end = end, end + p.size
+            self.state[name] = {"m": self._m[a:end].reshape(p.shape),
+                                "v": self._v[a:end].reshape(p.shape)}
+            self._upd_views.append(self._upd[a:end].reshape(p.shape))

@@ -17,9 +17,10 @@ metric is active), the step of the AdamW that ``config.optimizer``
 configures, then — at allocation steps with nonzero budget — score, select,
 apply, and sync the optimizer state to the new ranks. The whole run, set-up
 included, has numpy's overflow and invalid-value warnings off: the abort
-record or the set-up error reports an overflow. The name-keyed parameter
-dict handed to the optimizer is collected before the first step and again
-after each such allocation step, the only place where arrays are replaced.
+record or the set-up error reports an overflow. The optimizer is bound to
+the model's name-keyed parameter arrays before the first step and again
+after each allocation step that changed a rank, the only place where arrays
+are replaced; the ``.bias`` names, exempt from weight decay, are fixed once.
 The result keeps the teacher for held-out evaluation but not the training
 data set, which is freed when the run returns.
 """
@@ -197,15 +198,6 @@ def _metrics_row(step, loss, model):
     return row
 
 
-def _params_and_no_decay(model):
-    """The model's parameters by name and the names exempt from decay.
-
-    Both stay valid until rank surgery replaces an adapter's factor arrays.
-    """
-    params = model.trainable_params()
-    return params, frozenset(k for k in params if k.endswith(".bias"))
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def run_training(config):
     """Execute one run; returns a TrainResult.
@@ -228,7 +220,8 @@ def run_training(config):
     targets = np.asfortranarray(targets)
 
     adapters = model.adapters()
-    optimizer = AdamW(config.optimizer)
+    params = model.trainable_params()
+    optimizer = AdamW(config.optimizer, params, (k for k in params if k.endswith(".bias")))
     states = {a.id: SensitivityState() for a in adapters}
     use_sensitivity = config.metric.variant == "sensitivity"
 
@@ -240,7 +233,6 @@ def run_training(config):
     n = inputs.shape[1]
     initial_loss = None
     loss = float("nan")
-    params, no_decay = _params_and_no_decay(model)
     axes = {a.id: {name: axis for name, _, axis in a.factors()} for a in adapters}
     abort = None
 
@@ -264,7 +256,7 @@ def run_training(config):
                 states[a.id] = sensitivity_update(
                     states[a.id], arrays, [grads[name] for name in names],
                     config.metric.beta1, config.metric.beta2)
-        optimizer.step(params, grads, no_decay=no_decay)
+        optimizer.step(grads)
 
         if adapters and schedule.is_allocation_step(t):
             b = schedule.budget(t)
@@ -276,10 +268,8 @@ def run_training(config):
                         adapters, prune_ids, expand_ids, config.init_strategy,
                         alloc_rng, step=t, scores=scores,
                     )
-                    for event in step_events:
-                        optimizer.sync_rank_change(event, axes[event.adapter_id])
+                    optimizer.sync_rank_change(step_events, axes, model.trainable_params())
                     events.extend(step_events)
-                params, no_decay = _params_and_no_decay(model)
 
         if t % config.log_every == 0 or t == schedule.total_steps - 1:
             metrics.append(_metrics_row(t, loss, model))

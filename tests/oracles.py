@@ -45,7 +45,7 @@ def mp_elem_energy_entropy(values, eps=1e-12):
     r = len(v)
     e = mpmath.mpf(repr(float(eps)))
     total = mpmath.fsum(
-        vi * si * mpmath.log(si + e) for vi, si in zip(v, s) if si > 0
+        abs(vi) * si * mpmath.log(si + e) for vi, si in zip(v, s) if si > 0
     )
     return -total / (r * mpmath.log(r))
 
@@ -55,7 +55,7 @@ def mp_mat_energy_entropy(values, eps=1e-12):
     r = len(v)
     e = mpmath.mpf(repr(float(eps)))
     ent = mpmath.fsum(si * mpmath.log(si + e) for si in s if si > 0)
-    return -mpmath.fsum(v) * ent / (r * mpmath.log(r))
+    return -mpmath.fsum(abs(x) for x in v) * ent / (r * mpmath.log(r))
 
 
 def mp_all_metrics(values, eps=1e-12):
@@ -77,8 +77,8 @@ def mp_all_metrics(values, eps=1e-12):
         -ent / log_r,
         mpmath.fsum(abs(x) for x in v) / r,
         mpmath.sqrt(total) / r,
-        -mpmath.fsum(vi * si * li for vi, si, li in live) / (r * log_r),
-        -mpmath.fsum(v) * ent / (r * log_r),
+        -mpmath.fsum(abs(vi) * si * li for vi, si, li in live) / (r * log_r),
+        -mpmath.fsum(abs(x) for x in v) * ent / (r * log_r),
     )
 
 

@@ -431,6 +431,18 @@ class TestImportance:
         assert lines[2] == f"frobenius {frobenius}"
         assert err == ""
 
+    def test_magnitude_sums_at_the_float64_top(self, tmp_path, capsys):
+        # Summing |lam| past 1.8e308 rescales by max|lam| and warns nothing.
+        path = self.write_spectrum(tmp_path, "1e308,1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["importance", path]) == 0
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert lines[1] == "nuclear 1.00000000000e+308"
+        assert lines[4] == "mat_energy_entropy 9.99999999997e+307"
+        assert err == ""
+
     def test_degenerate_flagged(self, tmp_path, capsys):
         path = self.write_spectrum(tmp_path, "0,0\n")
         assert main(["importance", path]) == 0
@@ -452,11 +464,8 @@ class TestImportance:
         p2 = self.write_spectrum(tmp_path, "2.0,1.0\n")
         assert main(["importance", p2]) == 0
         positive = capsys.readouterr().out.splitlines()
-        # Energy shares come from lam^2, so the entropy family and the
-        # magnitude means ignore sign; the lam-weighted comparators do not.
-        assert negative[:3] == positive[:3]
-        assert negative[3] != positive[3]
-        assert negative[4] != positive[4]
+        # Every spectrum metric depends on magnitudes only.
+        assert negative == positive
 
     def test_error_cases_exit_2(self, tmp_path, capsys):
         two_rows = self.write_spectrum(tmp_path, "1,2\n3,4\n")

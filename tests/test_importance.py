@@ -15,6 +15,7 @@ from rankflex.errors import (
     ShapeError,
 )
 from rankflex.importance import (
+    SPECTRUM_METRICS,
     MetricKind,
     SensitivityState,
     _check_epsilon,
@@ -172,8 +173,9 @@ class TestComparators:
                        - float(oracles.mp_mat_energy_entropy(lam))) < 1e-10
 
 
-# The three entropy metrics as each stated its own opening steps, kept as
-# the reference their shared core must match bit for bit.
+# The three entropy metrics as each stated its own opening steps, the hybrids
+# weighting by |lam|, kept as the reference their shared core must match bit
+# for bit wherever these direct formulas stay finite.
 def parent_spectral_entropy(lam, epsilon):
     _check_epsilon(epsilon)
     v = _values(lam)
@@ -200,7 +202,7 @@ def parent_elem_energy_entropy(lam, epsilon):
     except DegenerateSpectrumError:
         return 0.0
     pos = s > 0.0
-    total = float(np.sum(v[pos] * s[pos] * np.log(s[pos] + epsilon)))
+    total = float(np.sum(np.abs(v[pos]) * s[pos] * np.log(s[pos] + epsilon)))
     return -total / (r * math.log(r))
 
 
@@ -216,7 +218,7 @@ def parent_mat_energy_entropy(lam, epsilon):
         return 0.0
     pos = s > 0.0
     ent = float(np.sum(s[pos] * np.log(s[pos] + epsilon)))
-    return -float(np.sum(v)) * ent / (r * math.log(r))
+    return -float(np.sum(np.abs(v))) * ent / (r * math.log(r))
 
 
 # Values spanning every float64 magnitude, the signed zeros and the
@@ -239,13 +241,16 @@ class TestEntropyCoreIdentity:
         for fn, parent in pairs:
             with np.errstate(over="ignore", invalid="ignore"):  # squares past 1e308
                 got, want = np.float64(fn(lam, epsilon)), np.float64(parent(lam, epsilon))
-            assert got.view(np.uint64) == want.view(np.uint64), fn.__name__
+            # Where a direct magnitude sum overflows, the hybrids rescale;
+            # TestSpectrumRange checks those values.
+            if math.isfinite(want):
+                assert got.view(np.uint64) == want.view(np.uint64), fn.__name__
 
     def test_signed_hybrids(self):
-        # The hybrids weight by signed values; the docstrings say so.
-        assert math.copysign(1.0, elem_energy_entropy([1.0, -1.0])) == -1.0
+        # The hybrids weight by |lam|, so signs do not move them.
+        assert elem_energy_entropy([1.0, -1.0]) == ELEM_1_1
         assert elem_energy_entropy([1.0, 1.0]) == ELEM_1_1
-        assert mat_energy_entropy([-2.0, -1.0]) == -MAT_2_1
+        assert mat_energy_entropy([-2.0, -1.0]) == MAT_2_1
         assert mat_energy_entropy([2.0, 1.0]) == MAT_2_1
 
 
@@ -294,10 +299,32 @@ class TestSpectrumRange:
                                    min_size=len(lam), max_size=len(lam)))
         moved = np.array(data.draw(st.permutations([s * x for s, x in zip(signs, lam)])))
         c = 10.0 ** exponent
-        want = spectral_entropy(lam)
-        for other in (moved, c * moved):
-            assert math.isclose(spectral_entropy(other), want, rel_tol=1e-12, abs_tol=1e-14)
+        for name, fn in SPECTRUM_METRICS.items():
+            # The entropy lies in [0, 1]; the others scale with max|lam|.
+            floor = 1e-14 * (1.0 if name == "spectral_entropy" else max(lam))
+            assert math.isclose(fn(moved), fn(lam), rel_tol=1e-12, abs_tol=floor), name
+        assert math.isclose(spectral_entropy(c * moved), spectral_entropy(lam),
+                            rel_tol=1e-12, abs_tol=1e-14)
         assert math.isclose(frobenius_mean(c * moved), c * frobenius_mean(lam), rel_tol=1e-12)
+
+    @settings(max_examples=500, deadline=None)
+    @given(lam=st.lists(_SPECTRUM_VALUES, min_size=1, max_size=13))
+    def test_magnitude_sums_direct_where_finite(self, lam):
+        # nuclear and the hybrids rescale by max|lam| only where the direct
+        # formula overflows; there, they match 50-digit arithmetic.
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = (float(np.mean(np.abs(lam))), parent_elem_energy_entropy(lam, 1e-12),
+                      parent_mat_energy_entropy(lam, 1e-12))
+        exact = oracles.mp_all_metrics(lam) if len(lam) > 1 and np.any(lam) else None
+        for i, (fn, want) in enumerate(zip(
+                (nuclear_mean, elem_energy_entropy, mat_energy_entropy), direct)):
+            got = fn(lam)
+            if math.isfinite(want):
+                assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+            else:
+                ref = float(exact[(1, 3, 4)[i]])
+                assert math.isclose(got, ref, rel_tol=1e-12,
+                                    abs_tol=1e-12 * max(abs(x) for x in lam)), fn.__name__
 
 
 class TestSensitivity:
