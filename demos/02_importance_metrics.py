@@ -11,7 +11,7 @@ CLI equivalent: `rankflex importance spectrum.csv` on a one-row CSV.
 
 import numpy as np
 
-from rankflex.importance import SPECTRUM_METRICS, spectrum_flag
+from rankflex.importance import SPECTRUM_METRICS, energy_distribution, spectrum_flag
 
 SPECTRA = {
     "uniform, all equal": np.array([0.5, 0.5, 0.5, 0.5]),
@@ -31,8 +31,14 @@ for label, lam in SPECTRA.items():
     print(f"{label:24s}{cells}" + (f"  <- flagged {flag}" if flag else ""))
 
 print()
+print("Energy shares s_i = lam_i^2 / sum_j lam_j^2, the distribution the entropy reads:")
+for label in ("two scales", "same shape, 10x larger"):
+    print(f"  {label:24s}" + "".join(f"{s:10.6f}" for s in energy_distribution(SPECTRA[label])))
+
+print()
 print("Things to notice:")
-print(" * spectral entropy is scale-free: rows 3 and 4 score identically;")
+print(" * spectral entropy is scale-free: rows 3 and 4 score identically,")
+print("   because their energy shares are the same;")
 print("   the nuclear/frobenius means grow 10x with the spectrum.")
 print(" * the uniform row maxes out at 1.0, the spike row collapses toward 0.")
 print(" * rank-1 and all-zero spectra carry flags instead of meaningful shape.")

@@ -242,7 +242,8 @@ class SvdAdapter:
             raise MinRankError(f"adapter {self.id!r} already at rank 1")
         i = int(np.argmin(np.abs(self.lam)))
         removed = float(abs(self.lam[i]))
-        self.p, self.lam, self.q = (np.delete(arr, i, axis=axis) for _, arr, axis in self.factors())
+        keep = np.arange(self.rank) != i
+        self.p, self.lam, self.q = (arr.compress(keep, axis=axis) for _, arr, axis in self.factors())
         return i, removed
 
     def expand_rank(self, strategy, rng):

@@ -3,14 +3,15 @@
 The format is line-oriented: a version line, the loss kind, the layer count,
 then one block per layer. Linear blocks carry the base weight, optional bias,
 and optional adapter record (id, dims, ranks, alpha, then P / lambda / Q).
-Header and marker lines are text. The writer emits version 2, where each row
-of a 2-D matrix (base, P, Q) is one line of base64 over the row's
-little-endian float64 bytes, and the vectors bias and lambda are CSV lines
-with every float written by ``repr``. Version 1, which wrote the matrices as
-``repr`` CSV too, still loads. Either way loading reproduces the saved model
-bit for bit, so forward passes match exactly. The CLI streams the lines into
-its file, and loading reads the open file line by line, never the whole
-text.
+Each other line is one of two kinds: a ``label v1 ... vN`` line, with its
+label and value count fixed, or a marker line that opens an array's block.
+The writer emits version 2, where each row of a 2-D matrix (base, P, Q) is
+one line of base64 over the row's little-endian float64 bytes, and the
+vectors bias and lambda are CSV lines with every float written by ``repr``.
+Version 1, which wrote the matrices as ``repr`` CSV too, still loads. Either
+way loading reproduces the saved model bit for bit, so forward passes match
+exactly. The CLI streams the lines into its file, and loading reads the open
+file line by line, never the whole text.
 """
 
 from __future__ import annotations
@@ -107,8 +108,18 @@ class _Reader:
             raise ParseError(f"line {self.last}: expected {expect!r}, got {line!r}")
         return line
 
-    def _take(self, rows, cols, what):
-        """The next ``rows`` (line number, line) pairs."""
+    def fields(self, label, count, malformed):
+        """The ``count`` values of the next line, ``label v1 ... vN``; else a ParseError
+        with ``malformed``, formatted with ``label``, ``count`` and ``line``."""
+        parts = self.next().split()
+        if parts[0] != label or len(parts) != count + 1:
+            got = malformed.format(label=label, count=count, line=" ".join(parts))
+            raise ParseError(f"line {self.last}: {got}")
+        return parts[1:]
+
+    def _take(self, what, rows, cols):
+        """The marker line ``what``, then the next ``rows`` (line number, line) pairs."""
+        self.next(what)
         if rows < 1 or cols < 1:
             raise ParseError(f"line {self.last}: {what} shape ({rows}, {cols}) is not positive")
         block = list(islice(self.lines, rows))
@@ -117,8 +128,8 @@ class _Reader:
         self.last = block[-1][0]
         return block
 
-    def _csv(self, rows, cols, what):
-        block = self._take(rows, cols, what)
+    def _csv(self, what, rows, cols):
+        block = self._take(what, rows, cols)
         try:
             m = matrix_from_csv_lines([line for _, line in block])
         except ParseError as exc:
@@ -127,15 +138,15 @@ class _Reader:
             raise ParseError(f"line {block[0][0]}: {what} shape {m.shape} != ({rows}, {cols})")
         return m
 
-    def vector(self, size, what):
-        """One CSV line of ``size`` values."""
-        return self._csv(1, size, what)[0]
+    def vector(self, what, size):
+        """The marker line ``what``, then one CSV line of ``size`` values."""
+        return self._csv(what, 1, size)[0]
 
-    def matrix(self, rows, cols, what):
-        """The next ``rows`` lines as a rows-by-cols matrix, in the file's version."""
+    def matrix(self, what, rows, cols):
+        """The marker line ``what``, then a rows-by-cols matrix in the file's version."""
         if self.version == 1:
-            return self._csv(rows, cols, what)
-        block = self._take(rows, cols, what)
+            return self._csv(what, rows, cols)
+        block = self._take(what, rows, cols)
         width = 4 * -(-8 * cols // 3)  # characters in the base64 of one row
         buf = bytearray()
         for n, line in block:
@@ -161,37 +172,27 @@ class _Reader:
         return m
 
 
+_ADAPTER_HEADER = "malformed adapter header: expected {label!r} and {count} value(s), got {line!r}"
+
+
 def _parse_adapter(reader, shape):
-    head = reader.next()
-    if not head.startswith("adapter "):
-        raise ParseError(f"line {reader.last}: expected adapter block, got {head!r}")
-    adapter_id = head.split(" ", 1)[1]
-
-    def values(label, count):
-        parts = reader.next().split()
-        if parts[0] != label or len(parts) != count + 1:
-            raise ParseError(f"line {reader.last}: malformed adapter header: expected "
-                             f"{label!r} and {count} value(s), got {' '.join(parts)!r}")
-        return parts[1:]
-
+    (adapter_id,) = reader.fields("adapter", 1, "expected adapter block, got {line!r}")
     try:
-        d_out, d_in = (int(v) for v in values("dims", 2))
+        d_out, d_in = map(int, reader.fields("dims", 2, _ADAPTER_HEADER))
         if (d_out, d_in) != shape:
             raise ParseError(
                 f"line {reader.last}: adapter {adapter_id!r} dims {d_out}x{d_in} != layer shape"
             )
-        rank, r_init, r_max = (int(values(k, 1)[0]) for k in ("rank", "r_init", "r_max"))
-        alpha = float(values("alpha", 1)[0])
+        rank, r_init, r_max = (int(*reader.fields(k, 1, _ADAPTER_HEADER))
+                               for k in ("rank", "r_init", "r_max"))
+        alpha = float(*reader.fields("alpha", 1, _ADAPTER_HEADER))
     except ParseError:
         raise
     except ValueError:
         raise ParseError(f"line {reader.last}: malformed adapter header") from None
-    reader.next("P")
-    p = reader.matrix(d_out, rank, "P")
-    reader.next("lambda")
-    lam = reader.vector(rank, "lambda")
-    reader.next("Q")
-    q = reader.matrix(rank, d_in, "Q")
+    p = reader.matrix("P", d_out, rank)
+    lam = reader.vector("lambda", rank)
+    q = reader.matrix("Q", rank, d_in)
     return SvdAdapter(adapter_id, p, lam, q, r_init=r_init, r_max=r_max, alpha=alpha)
 
 
@@ -210,22 +211,14 @@ def parse_checkpoint_lines(lines):
 
 
 def _parse_model(reader):
-    head = reader.next().split()
-    if len(head) != 2 or head[0] != FORMAT_NAME:
-        raise ParseError(f"line {reader.last}: not a checkpoint file")
-    if head[1] not in READABLE_VERSIONS:
-        raise ParseError(f"line {reader.last}: unsupported version {head[1]}")
-    reader.version = int(head[1])
-    loss_line = reader.next().split()
-    if len(loss_line) != 2 or loss_line[0] != "loss":
-        raise ParseError(f"line {reader.last}: expected loss line")
-    loss = loss_line[1]
+    (version,) = reader.fields(FORMAT_NAME, 1, "not a checkpoint file")
+    if version not in READABLE_VERSIONS:
+        raise ParseError(f"line {reader.last}: unsupported version {version}")
+    reader.version = int(version)
+    (loss,) = reader.fields("loss", 1, "expected loss line")
     if loss not in LOSS_KINDS:
         raise ParseError(f"line {reader.last}: unknown loss {loss!r}")
-    count_line = reader.next().split()
-    if len(count_line) != 2 or count_line[0] != "layers":
-        raise ParseError(f"line {reader.last}: expected layer count")
-    n_layers = int(count_line[1])
+    n_layers = int(*reader.fields("layers", 1, "expected layer count"))
     layers = []
     for i in range(n_layers):
         parts = reader.next().split()
@@ -248,12 +241,8 @@ def _parse_model(reader):
         bias_flag, adapter_flag = fields["bias"], fields["adapter"]
         if not {bias_flag, adapter_flag} <= {"yes", "no"}:
             raise ParseError(f"line {reader.last}: bias= and adapter= must be yes or no")
-        reader.next("base")
-        base = reader.matrix(d_out, d_in, "base")
-        bias = None
-        if bias_flag == "yes":
-            reader.next("bias")
-            bias = reader.vector(d_out, "bias")
+        base = reader.matrix("base", d_out, d_in)
+        bias = reader.vector("bias", d_out) if bias_flag == "yes" else None
         adapter = _parse_adapter(reader, base.shape) if adapter_flag == "yes" else None
         layers.append(LinearLayer(base, bias=bias, adapter=adapter))
     if (extra := next(reader.lines, None)) is not None:

@@ -149,10 +149,10 @@ def _entropy(lam, epsilon, zero_energy, weigh):
     v = _values(lam)
     if v.size == 1:
         return 0.0
-    try:
-        s = energy_distribution(v)
-    except DegenerateSpectrumError:
+    e, total, _ = _squares(v)
+    if total == 0.0:
         return zero_energy
+    s = e / total
     pos = s > 0.0
     s = s[pos]
     return weigh(v, pos, s, np.log(s + epsilon))

@@ -118,7 +118,7 @@ class AdamW:
                 for moments in (m, v):
                     a = moments[name]
                     if event.action == "prune":
-                        moments[name] = np.delete(a, event.index, axis=axis)
+                        moments[name] = a.compress(np.arange(a.shape[axis]) != event.index, axis=axis)
                     else:
                         zero = np.zeros(a.shape[:axis] + (1,) + a.shape[axis + 1:])
                         moments[name] = np.concatenate([a, zero], axis=axis)

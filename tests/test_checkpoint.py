@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from rankflex.adapter import InitStrategy
+from rankflex.adapter import InitStrategy, SvdAdapter
 from rankflex.checkpoint import (
     adapter_record_lines,
     checkpoint_lines,
@@ -18,7 +19,16 @@ from rankflex.checkpoint import (
 )
 from rankflex.cli import _atomic_write
 from rankflex.errors import ParseError
-from rankflex.model import AdapterSpec, LayerSpec, ToyModel, build_model
+from rankflex.model import (
+    ACTIVATION_KINDS,
+    LOSS_KINDS,
+    ActivationLayer,
+    AdapterSpec,
+    LayerSpec,
+    LinearLayer,
+    ToyModel,
+    build_model,
+)
 
 # sample_model()'s checkpoint as the version-1 writer produced it.
 V1_FIXTURE = Path(__file__).resolve().parent / "data" / "checkpoint_v1.txt"
@@ -510,3 +520,108 @@ class TestStreaming:
         assert write_peak < 1.5 * size, (write_peak, size)
         assert load_peak < 1.5 * size, (load_peak, size)
         assert_models_identical(model, loaded, rng)
+
+
+@st.composite
+def random_model(draw):
+    """1-3 linear layers with tanh or relu between them; each has a bias and
+    an adapter (at any rank from 1 to r_max) or not; any finite floats."""
+    n = draw(st.integers(1, 3))
+    widths = draw(st.lists(st.integers(1, 5), min_size=n + 1, max_size=n + 1))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+
+    def array(*shape):
+        return draw(hnp.arrays(np.float64, shape, elements=floats))
+
+    layers = []
+    for i, (d_in, d_out) in enumerate(zip(widths, widths[1:])):
+        if i:
+            layers.append(ActivationLayer(draw(st.sampled_from(ACTIVATION_KINDS))))
+        bias = array(d_out) if draw(st.booleans()) else None
+        adapter = None
+        if draw(st.booleans()):
+            r_max = draw(st.integers(1, min(d_in, d_out)))
+            rank, r_init = draw(st.integers(1, r_max)), draw(st.integers(1, r_max))
+            alpha = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+            adapter = SvdAdapter(f"a{i}", array(d_out, rank), array(rank), array(rank, d_in),
+                                 r_init=r_init, r_max=r_max, alpha=alpha)
+        layers.append(LinearLayer(array(d_out, d_in), bias=bias, adapter=adapter))
+    return ToyModel(layers, draw(st.sampled_from(LOSS_KINDS)))
+
+
+def assert_same_bits(a, b):
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# The nine ``label value...`` lines, each with the message of a line that
+# breaks its label or value count, and the five markers that open a block.
+LABELS = {"rankflex-checkpoint": "not a checkpoint file$", "loss": "expected loss line$",
+          "layers": "expected layer count$", "adapter": "expected adapter block, got "}
+LABELS.update((label, f"malformed adapter header: expected '{label}' and ")
+              for label in ("dims", "rank", "r_init", "r_max", "alpha"))
+# What a non-number where a number belongs raises instead.
+NON_NUMBER = {"rankflex-checkpoint": "unsupported version x$", "layers": "invalid literal"}
+MARKERS = ["base", "bias", "P", "lambda", "Q"]
+
+
+def _edit(line, kind):
+    label, *values = line.split()
+    return {"label": [label + "x", *values], "too-many": [label, *values, "1"],
+            "too-few": [label, *values[:-1]], "non-number": [label, *values[:-1], "x"]}[kind]
+
+
+class TestLineRules:
+    """Every checkpoint line but a layer header is a ``label value...`` line
+    or a marker that opens a block; the reader holds each to its rule."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(model=random_model())
+    def test_random_models_round_trip_bitwise(self, model):
+        lines = checkpoint_lines(model)
+        loaded = parse_checkpoint_lines(lines)
+        assert loaded.loss == model.loss
+        assert [type(layer) for layer in loaded.layers] == [type(layer) for layer in model.layers]
+        for a, b in zip(model.layers, loaded.layers):
+            if isinstance(a, ActivationLayer):
+                assert a.kind == b.kind
+                continue
+            assert_same_bits(a.base_w, b.base_w)
+            assert_same_bits(a.bias, b.bias)
+            assert (a.adapter is None) == (b.adapter is None)
+            if a.adapter is not None:
+                assert (a.adapter.id, a.adapter.r_init, a.adapter.r_max) == \
+                    (b.adapter.id, b.adapter.r_init, b.adapter.r_max)
+                assert_same_bits(np.float64(a.adapter.alpha), np.float64(b.adapter.alpha))
+                for (_, x, _), (_, y, _) in zip(a.adapter.factors(), b.adapter.factors()):
+                    assert_same_bits(x, y)
+        assert checkpoint_lines(loaded) == lines
+
+    @pytest.mark.parametrize("source", ["v2", "v1"])
+    @pytest.mark.parametrize("label, kind", [
+        (label, kind) for label in LABELS for kind in ("label", "too-many", "too-few", "non-number")
+        if kind != "non-number" or label not in ("loss", "adapter")])
+    def test_label_line_errors_name_their_line(self, source, label, kind):
+        lines = v1_lines() if source == "v1" else checkpoint_lines(sample_model())
+        at = next(i for i, ln in enumerate(lines) if ln.split()[0] == label)
+        lines[at] = " ".join(_edit(lines[at], kind))
+        with pytest.raises(ParseError) as info:
+            parse_checkpoint_lines(lines)
+        message = str(info.value)
+        assert message.startswith(f"line {at + 1}: "), message
+        assert LINE_ERROR.fullmatch(message)
+        want = LABELS[label] if kind != "non-number" else NON_NUMBER.get(
+            label, "malformed adapter header$")
+        assert re.match(want, message.split(": ", 1)[1]), message
+
+    @pytest.mark.parametrize("source", ["v2", "v1"])
+    @pytest.mark.parametrize("marker", MARKERS)
+    def test_each_block_checks_its_marker(self, source, marker):
+        lines = v1_lines() if source == "v1" else checkpoint_lines(sample_model())
+        at = lines.index(marker)
+        lines[at] = marker + "x"
+        with pytest.raises(ParseError,
+                           match=rf"^line {at + 1}: expected '{marker}', got '{marker}x'$"):
+            parse_checkpoint_lines(lines)
