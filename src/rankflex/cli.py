@@ -22,7 +22,7 @@ import functools
 import json
 import os
 import sys
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import fields
 from pathlib import Path
 
@@ -75,40 +75,41 @@ def _atomic_write(path, lines):
             tmp.unlink()
 
 
-class _OutputLock:
-    """O_EXCL lock file marking an output directory as in use."""
+def _lock_conflict(path):
+    """Why the lock at ``path`` is held. A lock whose pid no longer runs here is
+    stale; it is reported, not removed, because the pid is only looked up on
+    this host and the run may live on another one that shares the directory."""
+    try:
+        pid = int(path.read_text(encoding="utf-8").split()[1])
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return (f"stale lock: pid {pid} in {path} is not running; "
+                f"remove {path} if no other run uses the directory")
+    except (OSError, ValueError, IndexError):
+        pass
+    return f"output directory is locked by another run: {path}"
 
-    def __init__(self, directory):
-        self.path = Path(directory) / ".lock"
-        self.fd = None
 
-    def __enter__(self):
+@contextmanager
+def _output_lock(directory):
+    """Hold an O_EXCL ``.lock`` file, holding this pid, in ``directory`` for the
+    block. A lock that cannot be made or written is a ParameterError, like
+    an artifact's, and leaves no file behind."""
+    path = Path(directory) / ".lock"
+    fd = None
+    try:
         try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            os.write(fd, f"pid {os.getpid()}\n".encode())
         except FileExistsError:
-            raise RankflexError(self._conflict()) from None
-        os.write(self.fd, f"pid {os.getpid()}\n".encode())
-        return self
-
-    def _conflict(self):
-        """Why the lock is held. A lock whose pid no longer runs here is stale;
-        it is reported, not removed, because the pid is only looked up on this
-        host and the run may live on another one that shares the directory."""
-        try:
-            pid = int(self.path.read_text(encoding="utf-8").split()[1])
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return (f"stale lock: pid {pid} in {self.path} is not running; "
-                    f"remove {self.path} if no other run uses the directory")
-        except (OSError, ValueError, IndexError):
-            pass
-        return f"output directory is locked by another run: {self.path}"
-
-    def __exit__(self, *exc_info):
-        if self.fd is not None:
-            os.close(self.fd)
-            self.path.unlink(missing_ok=True)
-        return False
+            raise RankflexError(_lock_conflict(path)) from None
+        except OSError as exc:
+            raise ParameterError(f"{path}: cannot write it: {exc.strerror}") from None
+        yield
+    finally:
+        if fd is not None:
+            os.close(fd)
+            path.unlink(missing_ok=True)
 
 
 def _write_artifacts(outdir, config, result, overrides):
@@ -141,7 +142,7 @@ def cmd_train(args):
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output_dir {outdir}: cannot make it: {exc.strerror}") from None
-    with _OutputLock(outdir):
+    with _output_lock(outdir):
         result = run_training(config)
         _write_artifacts(outdir, config, result, overrides)
     if result.diverged:
@@ -270,7 +271,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so a closed pipe is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone: send what is still buffered to devnull,
+        # so that the interpreter's last flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ConfigError, ParameterError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -166,6 +166,9 @@ def matrix_from_csv_lines(lines):
         elif len(cells) != width:
             raise ParseError(f"row {i}: expected {width} columns, got {len(cells)}")
         try:
+            # float() also reads "1_0" and non-ASCII digits, which repr never writes.
+            if "_" in text or not text.isascii():
+                raise ValueError(f"'_' or a non-ASCII character in {text!r}")
             rows.append([float(c) for c in cells])
         except ValueError as exc:
             raise ParseError(f"row {i}: non-numeric cell ({exc})") from None

@@ -134,23 +134,16 @@ def build_teacher(model, task, rng):
     return TeacherNet(layers=tuple(layers))
 
 
-def sample_regression(teacher, task, rng, sample_count=None, noise_std=None):
+def sample_regression(teacher, task, rng):
     """``(inputs, targets)``, one example per column: N(0, I) inputs, teacher outputs plus noise.
 
-    ``sample_count`` and ``noise_std`` default to the task's values; pass
-    explicit ones to build held-out or noiseless evaluation sets against the
-    same teacher.
+    A held-out or noiseless set against the same teacher is drawn with a
+    task changed by ``dataclasses.replace``, which checks the new values.
     """
-    n = task.sample_count if sample_count is None else int(sample_count)
-    std = task.noise_std if noise_std is None else float(noise_std)
-    if n < 1:
-        raise ParameterError("sample_count must be >= 1")
-    if not std >= 0.0:
-        raise ParameterError("noise_std must be >= 0")
-    x = rng.standard_normal((task.input_dim, n))
+    x = rng.standard_normal((task.input_dim, task.sample_count))
     y = teacher.forward(x)
-    if std > 0.0:
-        y = y + std * rng.standard_normal(y.shape)
+    if task.noise_std > 0.0:
+        y = y + task.noise_std * rng.standard_normal(y.shape)
     return x, y
 
 

@@ -5,9 +5,10 @@ schedule, adapter roster), zero or more event records in application order,
 and at most one trailing abort record. Keys are sorted and separators fixed,
 so identical runs serialize to identical bytes. This module owns every
 record's JSON form, the allocator's ``AllocationEvent`` included.
-``read_trace`` alone checks what a record says about itself: each non-blank
-line is one record holding every field of its type's table, with the JSON
-type written, and an event must agree with itself and name a roster adapter.
+``read_trace`` alone checks what a record says about itself: one function
+reads each record type's (field, JSON types) table, an event's picked by its
+action, as ``line N: <record> missing 'k'`` or ``line N: bad <record> k v``;
+then the header's values, roster and schedule and each event's checks apply.
 ``verify_trace`` replays the bookkeeping of what it returns — rank bounds,
 step legality against the schedule, per-step budget caps, mode conformance,
 exact rank conservation in bidirectional mode, and an abort step inside the
@@ -34,15 +35,20 @@ __all__ = [
 
 TRACE_VERSION = 1
 
-# (field, JSON types) of an event as ``_event_json`` writes them: ``detail``
-# is a number for a prune, a string for an expand. Exact type tests keep
-# bool (an int) out.
+# (field, JSON types) per record type, as the writer gives them. Exact type
+# tests keep bool (an int) out. An event's fields are in AllocationEvent's
+# order, and its ``detail`` is a number for a prune, a string for an expand.
+# The roster and schedule may hold any JSON value; the header's rules check them.
 _NUMBER = (float, int)
-_FIELD_TYPES = (("step", (int,)), ("adapter_id", (str,)), ("action", (str,)),
-                ("rank_before", (int,)), ("rank_after", (int,)),
-                ("score", _NUMBER + (type(None),)), ("index", (int,)))
-_PRUNE_TYPES = _FIELD_TYPES + (("detail", _NUMBER),)
-_EXPAND_TYPES = _FIELD_TYPES + (("detail", (str,)),)
+_ANY = (dict, list, str, bool, type(None)) + _NUMBER
+_HEADER = (("version", (int,)), ("seed", (int,)), ("mode", (str,)), ("metric", (str,)),
+           ("adapters", _ANY), ("schedule", _ANY))
+_ABORT = (("step", (int,)), ("reason", (str,)), ("loss", _NUMBER))
+_EVENT = (("step", (int,)), ("adapter_id", (str,)), ("action", (str,)), ("rank_before", (int,)),
+          ("rank_after", (int,)), ("score", _NUMBER + (type(None),)))
+_EVENTS = {"prune": _EVENT + (("detail", _NUMBER), ("index", (int,))),
+           "expand": _EVENT + (("detail", (str,)), ("index", (int,)))}
+_NO_ACTION = (("action", ()),)  # for an action that names no table: any value is bad
 
 
 def _dump(obj):
@@ -54,25 +60,27 @@ def _event_json(e):
     return {"type": "event", **vars(e), "score": None if math.isnan(e.score) else float(e.score)}
 
 
-def _event_from_json(obj, ids):
-    """Inverse of ``_event_json``; ParameterError names an ill-typed field or an unknown id."""
-    for key, types in _EXPAND_TYPES if obj["action"] == "expand" else _PRUNE_TYPES:
-        if type(obj[key]) not in types:
-            raise ParameterError(f"{key} {obj[key]!r} has type {type(obj[key]).__name__}")
-    if obj["adapter_id"] not in ids:
-        raise ParameterError(f"unknown adapter {obj['adapter_id']!r}")
-    score = obj["score"]
-    return AllocationEvent(obj["step"], obj["adapter_id"], obj["action"], obj["rank_before"],
-                           obj["rank_after"], math.nan if score is None else float(score),
-                           obj["detail"], obj["index"])
-
-
 def trace_lines(header, events, abort=None):
     lines = [_dump(header)]
     lines.extend(_dump(_event_json(e)) for e in events)
     if abort is not None:
         lines.append(_dump(abort))
     return lines
+
+
+def _fields(obj, table, record):
+    """The values of ``table``'s fields in ``obj``, in table order; TraceError
+    names the first one missing or not of one of its JSON types."""
+    values = []
+    try:
+        for key, types in table:
+            value = obj[key]
+            if type(value) not in types:
+                raise TraceError(f"bad {record} {key} {value!r}")
+            values.append(value)
+    except KeyError:
+        raise TraceError(f"{record} missing {key!r}") from None
+    return values
 
 
 def _header_schedule(schedule):
@@ -86,7 +94,14 @@ def _header_schedule(schedule):
         raise TraceError(f"bad schedule ({exc})") from None
 
 
-def _is_roster(adapters):
+def _header_ids(obj):
+    """The roster's adapter ids, once the header has passed its table and its rules."""
+    _fields(obj, _HEADER, "header")
+    for key, allowed in (("version", (TRACE_VERSION,)), ("mode", ALLOCATOR_MODES),
+                         ("metric", METRIC_VARIANTS)):
+        if obj[key] not in allowed:
+            raise TraceError(f"bad header {key} {obj[key]!r}")
+    adapters = obj["adapters"]
     if not (isinstance(adapters, list) and all(
             isinstance(a, dict) and isinstance(a.get("id"), str)
             and all(type(a.get(k)) is int for k in ("r_init", "r_max", "depth"))
@@ -94,42 +109,15 @@ def _is_roster(adapters):
             and len({a["id"] for a in adapters}) == len(adapters)):
         raise TraceError("header adapters must be a list of objects with distinct string ids, "
                          "integer r_init, r_max and depth, and 1 <= r_init <= r_max")
-    return True
-
-
-# Every field a record must hold, with its check: False or TraceError if bad.
-_HEADER = {
-    "version": lambda v: type(v) is int and v == TRACE_VERSION,
-    "seed": lambda v: type(v) is int,
-    "mode": lambda v: v in ALLOCATOR_MODES,
-    "metric": lambda v: v in METRIC_VARIANTS,
-    "adapters": _is_roster,
-    "schedule": _header_schedule,
-}
-_ABORT = {
-    "step": lambda v: type(v) is int,
-    "reason": lambda v: isinstance(v, str),
-    "loss": lambda v: type(v) in _NUMBER,
-}
-
-
-def _check_record(obj, table, record, lineno):
-    for key, check in table.items():
-        if key not in obj:
-            raise TraceError(f"line {lineno}: {record} missing {key!r}")
-        try:
-            good = check(obj[key])
-        except TraceError as exc:
-            raise TraceError(f"line {lineno}: {exc}") from None
-        if not good:
-            raise TraceError(f"line {lineno}: bad {record} {key} {obj[key]!r}")
+    _header_schedule(obj["schedule"])
+    return {a["id"] for a in adapters}
 
 
 def read_trace(path):
     """Parse a trace file, read line by line, into (header, events, abort-or-None).
 
-    Structural problems, and a record that fails its table, the roster rule
-    or the event's checks, raise TraceError naming the offending line (1-based).
+    Structural problems, and a record that fails its table, the header's rules
+    or the event's own checks, raise TraceError naming the offending line (1-based).
     """
     header = None
     events = []
@@ -138,33 +126,40 @@ def read_trace(path):
         for lineno, text in numbered_lines(fh):
             try:
                 obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise TraceError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict) or "type" not in obj:
-                raise TraceError(f"line {lineno}: record has no type")
-            kind = obj["type"]
-            if kind in ("event", "abort") and header is None:
-                raise TraceError(f"line {lineno}: {kind} before header")
-            if kind == "header":
-                if header is not None:
-                    raise TraceError(f"line {lineno}: duplicate header")
-                _check_record(obj, _HEADER, "header", lineno)
-                header = obj
-                ids = {a["id"] for a in obj["adapters"]}
-            elif kind == "event":
-                if abort is not None:
-                    raise TraceError(f"line {lineno}: event after abort record")
-                try:
-                    events.append(_event_from_json(obj, ids))
-                except Exception as exc:
-                    raise TraceError(f"line {lineno}: bad event ({exc})") from None
-            elif kind == "abort":
-                if abort is not None:
-                    raise TraceError(f"line {lineno}: duplicate abort record")
-                _check_record(obj, _ABORT, "abort record", lineno)
-                abort = obj
-            else:
-                raise TraceError(f"line {lineno}: unknown record type {kind!r}")
+                if not isinstance(obj, dict) or "type" not in obj:
+                    raise TraceError("record has no type")
+                kind = obj["type"]
+                if kind in ("event", "abort") and header is None:
+                    raise TraceError(f"{kind} before header")
+                if kind == "event":
+                    if abort is not None:
+                        raise TraceError("event after abort record")
+                    action = obj.get("action")
+                    table = _EVENTS.get(action, _NO_ACTION) if type(action) is str else _NO_ACTION
+                    values = _fields(obj, table, "event")  # in AllocationEvent's order
+                    if values[1] not in ids:
+                        raise TraceError(f"bad event (unknown adapter {values[1]!r})")
+                    values[5] = math.nan if values[5] is None else float(values[5])  # score
+                    events.append(AllocationEvent(*values))
+                elif kind == "header":
+                    if header is not None:
+                        raise TraceError("duplicate header")
+                    ids = _header_ids(obj)
+                    header = obj
+                elif kind == "abort":
+                    if abort is not None:
+                        raise TraceError("duplicate abort record")
+                    _fields(obj, _ABORT, "abort record")
+                    abort = obj
+                else:
+                    raise TraceError(f"unknown record type {kind!r}")
+            except (ParameterError, OverflowError) as exc:  # AllocationEvent's checks; float()
+                raise TraceError(f"line {lineno}: bad event ({exc})") from None
+            except TraceError as exc:
+                raise TraceError(f"line {lineno}: {exc}") from None
+            except ValueError as exc:  # from json.loads; an integer too long has no msg
+                raise TraceError(
+                    f"line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
     if header is None:  # any first record but a header has raised
         raise TraceError("line 1: empty trace")
     return header, events, abort
@@ -178,6 +173,7 @@ def verify_trace(header, events, abort=None):
     mode = header["mode"]
     ranks = {meta["id"]: meta["r_init"] for meta in header["adapters"]}
     caps = {meta["id"]: meta["r_max"] for meta in header["adapters"]}
+    forbidden = {"prune_only": "expand", "expand_only": "prune"}.get(mode)
 
     by_step = {}
     last_step = None
@@ -186,8 +182,7 @@ def verify_trace(header, events, abort=None):
         where = f"event {i} (step {e.step}, {e.adapter_id})"
         if last_step is not None and e.step < last_step:
             problems.append(f"{where}: steps not in order")
-        if e.step != last_step:
-            expand_seen = False
+        expand_seen = expand_seen and e.step == last_step  # an expand counts within its step
         last_step = e.step
         if e.action == "expand":
             expand_seen = True
@@ -199,18 +194,14 @@ def verify_trace(header, events, abort=None):
             problems.append(
                 f"{where}: rank_before {e.rank_before} but replay says {ranks[e.adapter_id]}"
             )
-        if mode == "prune_only" and e.action == "expand":
-            problems.append(f"{where}: expand in prune_only mode")
-        if mode == "expand_only" and e.action == "prune":
-            problems.append(f"{where}: prune in expand_only mode")
+        if e.action == forbidden:
+            problems.append(f"{where}: {e.action} in {mode} mode")
         ranks[e.adapter_id] = e.rank_after
         if not 1 <= e.rank_after <= caps[e.adapter_id]:
             problems.append(f"{where}: rank {e.rank_after} outside [1, {caps[e.adapter_id]}]")
-        step_counts = by_step.setdefault(e.step, {"prune": 0, "expand": 0})
-        step_counts[e.action] += 1
+        by_step.setdefault(e.step, {"prune": 0, "expand": 0})[e.action] += 1
 
-    for step in sorted(by_step):
-        counts = by_step[step]
+    for step, counts in sorted(by_step.items()):
         budget = schedule.budget(step)
         for action in ("prune", "expand"):
             if counts[action] > budget:

@@ -9,6 +9,7 @@ reference oracles included. The 50-digit oracle of criterion 2 dominates its
 time: mpmath runs on its pure-Python backend unless gmpy2 is installed.
 """
 
+import dataclasses
 import math
 import time
 from contextlib import contextmanager
@@ -319,8 +320,8 @@ def _allocation_config(seed, mode):
 
 def _holdout_loss(result, task):
     rng = np.random.default_rng(987654321)
-    x, targets = sample_regression(result.teacher, task, rng, sample_count=4096,
-                                   noise_std=0.0)
+    x, targets = sample_regression(
+        result.teacher, dataclasses.replace(task, sample_count=4096, noise_std=0.0), rng)
     y, _ = result.model.forward(x)
     return mse_loss(y, targets)[0]
 

@@ -625,3 +625,15 @@ class TestLineRules:
         with pytest.raises(ParseError,
                            match=rf"^line {at + 1}: expected '{marker}', got '{marker}x'$"):
             parse_checkpoint_lines(lines)
+
+
+@pytest.mark.parametrize("source, marker", [("v1", "base"), ("v1", "P"), ("v2", "lambda"),
+                                            ("v2", "bias")])
+@pytest.mark.parametrize("cell", ["1_0", "\u0661"], ids=["underscore", "arabic-indic-digit"])
+def test_csv_cell_repr_never_writes_names_its_line(source, marker, cell):
+    # float() reads "1_0" as 10.0 and "\u0661" as 1.0; repr writes neither.
+    lines = v1_lines() if source == "v1" else checkpoint_lines(sample_model())
+    at = lines.index(marker) + 1
+    lines[at] = ",".join([cell] + lines[at].split(",")[1:])
+    with pytest.raises(ParseError, match=rf"^line {at + 1}: row 0: non-numeric cell \("):
+        parse_checkpoint_lines(lines)

@@ -414,6 +414,15 @@ class TestImportance:
         assert lines[0].startswith("spectral_entropy 0.721928094884")
         assert lines[1] == "nuclear 1.50000000000"
 
+    @pytest.mark.parametrize("text", ["1_0,2\n", "\u0661,2\n"],
+                             ids=["underscore", "arabic-indic-digit"])
+    def test_cell_repr_never_writes_exits_2(self, tmp_path, capsys, text):
+        path = self.write_spectrum(tmp_path, text)
+        assert main(["importance", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: row 0: non-numeric cell (")
+
     @pytest.mark.parametrize("text, entropy, frobenius", [
         ("1e200,1e200\n", "0.999999999997", "7.07106781187e+199"),
         ("1e-170,2e-170\n", "0.721928094884", "1.11803398875e-170"),
@@ -956,4 +965,83 @@ class TestStructuredFuzz:
         trace.write_text("\n".join(lines) + "\n")
         assert main(["replay-verify", str(trace)]) in (0, 1, 2, 3)
         assert main(["export-heatmap", str(trace)]) in (0, 1, 2, 3)
+        capsys.readouterr()
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: a write, or only a flush (when the
+    text fits the buffer), raises BrokenPipeError. Its file descriptor is
+    ``fd``, which main points at devnull."""
+
+    def __init__(self, fd, fails):
+        self.fd = fd
+        self.fails = fails
+
+    def write(self, text):
+        if self.fails == "write":
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def flush(self):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def fileno(self):
+        return self.fd
+
+
+class TestQuietFailures:
+    """A failing lock or a closed stdout ends the command with one line on
+    stderr (none for the pipe) and an exit code, never a traceback, and
+    leaves no lock behind."""
+
+    @pytest.mark.parametrize("argv", [["schedule", "2", "10", "10", "2000", "1"],
+                                      ["export-heatmap", "TRACE"], ["replay-verify", "TRACE"]],
+                             ids=["schedule", "export-heatmap", "replay-verify"])
+    @pytest.mark.parametrize("fails", ["write", "flush"])
+    def test_closed_stdout_exits_1_quietly(self, tmp_path, monkeypatch, capsys, argv, fails):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join(map(json.dumps, typed_trace_records())) + "\n")
+        sink = tmp_path / "stdout"
+        fd = os.open(sink, os.O_CREAT | os.O_WRONLY)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", _ClosedPipe(fd, fails))
+                assert main([str(trace) if a == "TRACE" else a for a in argv]) == 1
+            assert capsys.readouterr().err == ""
+            os.write(fd, b"buffered text")  # now reaches devnull, not the sink
+        finally:
+            os.close(fd)
+        assert sink.read_bytes() == b""
+
+    def lock_failure(self, tmp_path, monkeypatch, capsys, name, fake):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, name, fake)
+            assert main(["train", cfg]) == 2
+        lock = os.path.join("runs", "cliunit", ".lock")
+        assert not (tmp_path / lock).exists()
+        return capsys.readouterr().err, lock
+
+    def test_lock_that_cannot_be_made_exits_2(self, tmp_path, monkeypatch, capsys):
+        real_open = os.open
+
+        def refuse_lock(path, *args, **kwargs):
+            if os.path.basename(path) == ".lock":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+            return real_open(path, *args, **kwargs)
+
+        err, lock = self.lock_failure(tmp_path, monkeypatch, capsys, "open", refuse_lock)
+        assert err == f"error: {lock}: cannot write it: Permission denied\n"
+
+    def test_lock_that_cannot_be_written_exits_2(self, tmp_path, monkeypatch, capsys):
+        real_write = os.write
+
+        def full_disk(fd, data):
+            if data.startswith(b"pid "):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(fd, data)
+
+        err, lock = self.lock_failure(tmp_path, monkeypatch, capsys, "write", full_disk)
+        assert err == f"error: {lock}: cannot write it: No space left on device\n"
+        assert main(["train", str(tmp_path / "config.json")]) == 0  # no lock left to refuse it
         capsys.readouterr()

@@ -297,3 +297,9 @@ class TestMatrixCsv:
     def test_nonfinite_rejected(self):
         with pytest.raises(ParseError):
             matrix_from_csv_lines(["inf,1.0"])
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661"], ids=["underscore", "arabic-indic-digit"])
+    def test_cells_repr_never_writes_rejected(self, cell):
+        # float() reads both ("1_0" as 10.0, "\u0661" as 1.0); repr writes neither.
+        with pytest.raises(ParseError, match=r"^row 1: non-numeric cell \("):
+            matrix_from_csv_lines(["1.0,2.0", f"3.0,{cell}"])

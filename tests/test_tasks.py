@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -169,14 +171,15 @@ class TestSampling:
         model = adapted_model()
         task = teacher_task(n=32, noise=0.5)
         teacher = build_teacher(model, task, np.random.default_rng(56))
-        x, y = sample_regression(teacher, task, np.random.default_rng(57),
-                                 sample_count=200, noise_std=0.0)
+        x, y = sample_regression(teacher, dataclasses.replace(task, sample_count=200,
+                                                              noise_std=0.0),
+                                 np.random.default_rng(57))
         assert x.shape == (10, 200)
         assert np.array_equal(y, teacher.forward(x))
         with pytest.raises(ParameterError):
-            sample_regression(teacher, task, np.random.default_rng(58), sample_count=0)
+            dataclasses.replace(task, sample_count=0)
         with pytest.raises(ParameterError):
-            sample_regression(teacher, task, np.random.default_rng(58), noise_std=-1.0)
+            dataclasses.replace(task, noise_std=-1.0)
 
     def test_blobs_shapes_and_separability(self):
         task = SyntheticTask(kind="two_blobs", input_dim=6, sample_count=400,

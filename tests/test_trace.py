@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -422,3 +423,112 @@ class TestHeatmap:
                                   ev(20, "dec", "expand", 3)]
         _, _, grid = pivot(make_header(), events)
         assert [row[-1] for row in grid] == [2, 4]
+
+
+def table_records():
+    """A clean trace's records: header, a prune and an expand at step 10, abort."""
+    abort = {"type": "abort", "step": 16, "reason": "divergence", "loss": 1e9}
+    return [json.loads(line) for line in trace_lines(make_header(), good_events()[:2], abort)]
+
+
+# (line index, record name, field, JSON kind) for every field of every table.
+# An event's table is picked by its action: line 1 is a prune, line 2 an expand.
+_EVENT_KINDS = (("step", "int"), ("adapter_id", "str"), ("action", "str"),
+                ("rank_before", "int"), ("rank_after", "int"), ("score", "number or null"),
+                ("index", "int"))
+TABLE_FIELDS = (
+    [(0, "header", key, kind) for key, kind in (
+        ("version", "int"), ("seed", "int"), ("mode", "str"), ("metric", "str"),
+        ("adapters", "any"), ("schedule", "any"))]
+    + [(1, "event", key, kind) for key, kind in _EVENT_KINDS + (("detail", "number"),)]
+    + [(2, "event", key, kind) for key, kind in _EVENT_KINDS + (("detail", "str"),)]
+    + [(3, "abort record", key, kind) for key, kind in (
+        ("step", "int"), ("reason", "str"), ("loss", "number"))]
+)
+TYPED_FIELDS = [c for c in TABLE_FIELDS if c[3] != "any"]
+NUMERIC_FIELDS = [c for c in TABLE_FIELDS if c[3] in ("int", "number")]
+# A JSON value of another type, per kind.
+WRONG_TYPE = {"int": "3", "str": 7, "number": "0.5", "number or null": "0.5"}
+
+
+def _field_ids(cases):
+    return [f"{line}-{key}" for line, _, key, _ in cases]
+
+
+class TestRecordTables:
+    """Every record type's fields are read by one table: a missing field and
+    a value of another JSON type each fail with the record, the field and
+    the line; an event's action picks its table."""
+
+    def read_with(self, tmp_path, records):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join(map(json.dumps, records)) + "\n")
+        return path
+
+    def test_clean_records_read(self, tmp_path):
+        header, events, abort = read_trace(self.read_with(tmp_path, table_records()))
+        assert events == good_events()[:2] and abort["step"] == 16
+
+    @pytest.mark.parametrize("line, record, key, kind", TABLE_FIELDS,
+                             ids=_field_ids(TABLE_FIELDS))
+    def test_missing_field(self, tmp_path, line, record, key, kind):
+        records = table_records()
+        del records[line][key]
+        path = self.read_with(tmp_path, records)
+        with pytest.raises(TraceError, match=f"^line {line + 1}: {record} missing '{key}'$"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("line, record, key, kind", TYPED_FIELDS,
+                             ids=_field_ids(TYPED_FIELDS))
+    def test_wrong_json_type(self, tmp_path, line, record, key, kind):
+        records = table_records()
+        records[line][key] = WRONG_TYPE[kind]
+        path = self.read_with(tmp_path, records)
+        message = f"line {line + 1}: bad {record} {key} {WRONG_TYPE[kind]!r}"
+        with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("line, record, key, kind", NUMERIC_FIELDS,
+                             ids=_field_ids(NUMERIC_FIELDS))
+    def test_true_is_not_a_number(self, tmp_path, line, record, key, kind):
+        records = table_records()
+        records[line][key] = True
+        path = self.read_with(tmp_path, records)
+        with pytest.raises(TraceError, match=f"^line {line + 1}: bad {record} {key} True$"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("action", ["grow", "Prune", "", 1, None, True, ["prune"],
+                                        {"prune": 1}])
+    def test_action_naming_no_table(self, tmp_path, action):
+        records = table_records()
+        records[1]["action"] = action
+        path = self.read_with(tmp_path, records)
+        message = f"line 2: bad event action {action!r}"
+        with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+            read_trace(path)
+
+    def test_action_picks_the_detail_type(self, tmp_path):
+        # An expand's string detail on a prune line, and the reverse.
+        records = table_records()
+        records[1]["action"], records[2]["action"] = "expand", "prune"
+        path = self.read_with(tmp_path, records)
+        with pytest.raises(TraceError, match=r"^line 2: bad event detail 0\.01$"):
+            read_trace(path)
+
+    def test_score_past_float_range(self, tmp_path):
+        records = table_records()
+        records[1]["score"] = 10 ** 400
+        path = self.read_with(tmp_path, records)
+        with pytest.raises(TraceError, match=r"^line 2: bad event \(int too large to convert"):
+            read_trace(path)
+
+    def test_integer_of_too_many_digits(self, tmp_path, capsys):
+        lines = trace_lines(make_header(), good_events()[:1])
+        lines[1] = lines[1].replace('"step":10', '"step":' + "1" * 5000)
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceError, match="^line 2: invalid JSON .*digits"):
+            read_trace(path)
+        for command in ("replay-verify", "export-heatmap"):
+            assert main([command, str(path)]) == 1
+            assert capsys.readouterr().err.startswith("trace error: line 2: invalid JSON")
